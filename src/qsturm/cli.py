@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional
 
@@ -18,7 +17,7 @@ import numpy as np
 from . import __version__
 from .decompose import cassaigne_decompose, decomposition_to_json, detect_qs, rotation_number
 from .errors import QsturmError
-from .spectrum import finite_eigenvalues, measure_report, periodic_bands, stable_set
+from .spectrum import measure_report, periodic_bands, stable_set
 from .tracemap import classify_orbit, in_escape, invariant, orbit_trace
 from .transfer import gordon_residual, growth_exponents, lyapunov_many
 from .words import ModelSpec, complexity, find_squares, level_words_prime, qs_prefix, sturmian_levels
@@ -184,9 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("spec_path", help="JSON model file")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("QSTURM_THREADS", "1")),
-                       help="worker cap (results are worker-count independent)")
         for flag, kw in flags.items():
             p.add_argument(f"--{flag}", **kw)
         p.set_defaults(func=func)
@@ -236,7 +232,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         spec = _load_spec(args.spec_path)
         params = {
             k: v for k, v in vars(args).items()
-            if k not in ("func", "command", "spec_path", "out", "threads") and v is not None
+            if k not in ("func", "command", "spec_path", "out") and v is not None
         }
         out = Output(spec, args.command, params, args.format)
         args.func(spec, args, out)

@@ -9,7 +9,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .contfrac import ContinuedFraction, approximants, expand, value
+from .contfrac import approximants, expand, value
 from .errors import (
     BasePrefixTooShort,
     InconclusiveWindow,
@@ -142,7 +142,7 @@ class Decomposition:
     window_length: int
 
 
-def _bytes_occurrences(hay: bytes, needle: bytes, stride: int = 1) -> List[int]:
+def _bytes_occurrences(hay: bytes, needle: bytes) -> List[int]:
     out = []
     start = 0
     while True:
@@ -312,13 +312,14 @@ def rotation_number(d: Decomposition, refine: int = 20) -> float:
         raise BasePrefixTooShort("degenerate base: single-letter frequency 0 or 1")
     cf, _terminated = expand(freq, refine)
     # Truncate where the convergent resolution exceeds the empirical one:
-    # q_n^2 beyond the base length reads noise in the frequency.
-    n = len(cf.coeffs)
-    while n > 1:
-        _, q = approximants(cf, n)
-        if q * q <= 4 * len(d.base_prefix):
+    # q_n^2 beyond the base length reads noise in the frequency. q_n grows
+    # with n, so scan upwards and never form the noisy (possibly huge) tail.
+    n = 1
+    while n < len(cf.coeffs):
+        _, q = approximants(cf, n + 1)
+        if q * q > 4 * len(d.base_prefix):
             break
-        n -= 1
+        n += 1
     return value(cf, n)
 
 

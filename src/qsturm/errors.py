@@ -63,7 +63,3 @@ class DegenerateFit(QsturmError):
 
 class GridTooCoarse(QsturmError):
     pass
-
-
-class NumericOverflow(QsturmError):
-    pass

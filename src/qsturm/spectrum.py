@@ -1,12 +1,12 @@
 """Spectrum approximation: periodic-approximant band spectra, stable-set
-sweeps via trace-map classification, measure statistics, and a finite
-tridiagonal eigenvalue oracle (Sturm-count bisection).
+sweeps via trace-map classification, measure statistics, and the
+eigenvalues of finite tridiagonal truncations (LAPACK, through scipy).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -91,18 +91,8 @@ def periodic_bands(spec: ModelSpec, n: int, tol: float = 1e-10) -> BandList:
 def _bands_from_indicator(spec, n, grid, g, inside, tol) -> List[Tuple[float, float]]:
     """Assemble bands from the seed-grid indicator, bisecting all boundaries
     simultaneously."""
-    runs = []  # (first inside index, last inside index)
-    i = 0
+    runs = _runs(inside)
     K = len(grid)
-    while i < K:
-        if not inside[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < K and inside[j + 1]:
-            j += 1
-        runs.append((i, j))
-        i = j + 1
     if not runs:
         return []
     # For each run, bisect the outer bracket; runs touching the window ends
@@ -127,6 +117,13 @@ def _bands_from_indicator(spec, n, grid, g, inside, tol) -> List[Tuple[float, fl
         for slot, e in zip(slots, refined):
             edges[slot] = float(e)
     return [(edges[(r, 0)], edges[(r, 1)]) for r in range(len(runs))]
+
+
+def _runs(mask: np.ndarray) -> List[Tuple[int, int]]:
+    """(first, last) index of every maximal run of True in a 1-D mask."""
+    padded = np.concatenate(([False], mask, [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    return list(zip(edges[0::2].tolist(), (edges[1::2] - 1).tolist()))
 
 
 def _bisect_edges(spec, n, e_out, e_in, tol):
@@ -175,55 +172,24 @@ def stable_set(spec: ModelSpec, grid: int = 4000, n_levels: int = 30) -> StableS
     centers = lo + width * (np.arange(grid) + 0.5)
     escaped, _steps, sup, _inv = classify_many(spec, centers, n_levels)
     bounded = ~escaped
-    bands = []
-    i = 0
-    while i < grid:
-        if not bounded[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < grid and bounded[j + 1]:
-            j += 1
-        bands.append((float(centers[i] - 0.5 * width), float(centers[j] + 0.5 * width)))
-        i = j + 1
+    bands = [(float(centers[i] - 0.5 * width), float(centers[j] + 0.5 * width))
+             for i, j in _runs(bounded)]
     band_list = BandList(tuple(bands), level=f"stable:grid={grid},levels={n_levels}")
     return StableSweep(band_list, centers, bounded, sup, width)
 
 
 def finite_eigenvalues(spec: ModelSpec, shift: int, size: int) -> np.ndarray:
-    """All eigenvalues of the size x size symmetric tridiagonal truncation
-    (diagonal = potential values, off-diagonal 1), by bisection on the
-    Sturm sign-count, each to 1e-10.
+    """All eigenvalues, ascending, of the size x size symmetric tridiagonal
+    truncation (diagonal = potential values, off-diagonal 1).
     """
     if size < 2:
         raise ValueError("size must be >= 2")
+    # Imported here: at module level scipy would add a quarter second to
+    # every CLI call, since the CLI imports this module.
+    from scipy.linalg import eigvalsh_tridiagonal
+
     diag = spec.potential_values(qs_prefix(spec, size, shift=shift))
-    lo = float(diag.min()) - 2.0 - 1e-6
-    hi = float(diag.max()) + 2.0 + 1e-6
-
-    def counts(lams: np.ndarray) -> np.ndarray:
-        """Number of eigenvalues strictly below each lambda (Sturm count)."""
-        q = diag[0] - lams
-        q = np.where(np.abs(q) < 1e-300, -1e-300, q)
-        neg = (q < 0).astype(np.int64)
-        for i in range(1, size):
-            q = diag[i] - lams - 1.0 / q
-            q = np.where(np.abs(q) < 1e-300, -1e-300, q)
-            neg += q < 0
-        return neg
-
-    lows = np.full(size, lo)
-    highs = np.full(size, hi)
-    targets = np.arange(1, size + 1)
-    for _ in range(80):
-        mids = 0.5 * (lows + highs)
-        c = counts(mids)
-        below = c < targets  # eigenvalue k is above mid
-        lows = np.where(below, mids, lows)
-        highs = np.where(below, highs, mids)
-        if np.max(highs - lows) < 1e-10:
-            break
-    return 0.5 * (lows + highs)
+    return eigvalsh_tridiagonal(diag, np.ones(size - 1))
 
 
 @dataclass(frozen=True)

@@ -89,29 +89,7 @@ def in_escape(t: TraceTriple) -> bool:
     return abs(y) > 1.0 and abs(z) > 1.0 and abs(y * z) > abs(x)
 
 
-# Elementary blocks of the orientation-preserving rewriting: vq equals u,
-# vq^{-1} fixes x and maps (x,y,z) -> (x, z, 2xz - y).
-
-def _block_vq(x, y, z):
-    return z, y, 2.0 * y * z - x
-
-
-def _block_vq_inv(x, y, z):
-    return x, z, 2.0 * x * z - y
-
-
 OVERFLOW_THRESHOLD = 1e150
-
-
-def _block_plan(spec: ModelSpec, n_levels: int):
-    """Yield (coefficient index j, block function, multiplicity a_j).
-
-    Coefficient a_j (j even -> vq blocks, j odd -> vq^{-1} blocks) completes
-    trace-map level j when all its blocks have been applied.
-    """
-    for j in range(2, n_levels + 1):
-        a = spec.cf.coefficient(j)
-        yield j, (_block_vq if j % 2 == 0 else _block_vq_inv), a
 
 
 def classify_orbit(spec: ModelSpec, E: float, n_levels: int) -> OrbitVerdict:
@@ -124,23 +102,11 @@ def classify_orbit(spec: ModelSpec, E: float, n_levels: int) -> OrbitVerdict:
     n_levels levels with the recorded sup norm. Intermediate half-block
     states may graze the set spuriously and are not tested.
     """
-    from .transfer import initial_triple
-
-    if n_levels < 2:
-        raise ValueError("n_levels must be >= 2")
-    t = initial_triple(spec, E)
-    inv = invariant(t)
-    x, y, z = t
-    sup = float(np.sqrt(x * x + y * y + z * z))
-    for n in range(2, n_levels + 1):
-        x, y, z = step(spec.cf.coefficient(n), TraceTriple(x, y, z))
-        biggest = max(abs(x), abs(y), abs(z))
-        if not np.isfinite(biggest) or biggest > OVERFLOW_THRESHOLD:
-            return OrbitVerdict("escaped", n, n, sup, inv, overflow=True)
-        if abs(y) > 1.0 and abs(z) > 1.0 and abs(y * z) > abs(x):
-            return OrbitVerdict("escaped", n, n, sup, inv)
-        sup = max(sup, float(np.sqrt(x * x + y * y + z * z)))
-    return OrbitVerdict("bounded", n_levels, None, sup, inv)
+    escaped, steps, sup, inv, blown = _classify(spec, np.array([E], dtype=float), n_levels)
+    if escaped[0]:
+        n = int(steps[0])
+        return OrbitVerdict("escaped", n, n, float(sup[0]), float(inv[0]), overflow=bool(blown[0]))
+    return OrbitVerdict("bounded", n_levels, None, float(sup[0]), float(inv[0]))
 
 
 def classify_many(spec: ModelSpec, energies: np.ndarray, n_levels: int
@@ -151,19 +117,25 @@ def classify_many(spec: ModelSpec, energies: np.ndarray, n_levels: int
     Escaped entries freeze at their escape-time state, so the sweep is
     independent of grid partitioning.
     """
+    return _classify(spec, np.asarray(energies, dtype=float), n_levels)[:4]
+
+
+def _classify(spec: ModelSpec, energies: np.ndarray, n_levels: int):
+    """classify_many plus the mask of orbits stopped by overflow."""
     from .transfer import initial_triple_many
 
     if n_levels < 2:
         raise ValueError("n_levels must be >= 2")
-    x, y, z = initial_triple_many(spec, np.asarray(energies, dtype=float))
+    x, y, z = initial_triple_many(spec, energies)
     inv = x * x + y * y + z * z - 2.0 * x * y * z - 1.0
     sup = np.sqrt(x * x + y * y + z * z)
     escaped = np.zeros(x.shape, dtype=bool)
+    overflow = np.zeros(x.shape, dtype=bool)
     escape_step = np.full(x.shape, -1, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(2, n_levels + 1):
             if escaped.all():
-                return escaped, escape_step, sup, inv
+                break
             nx, ny, nz = step(spec.cf.coefficient(n), TraceTriple(x, y, z))
             live = ~escaped
             x = np.where(live, nx, x)
@@ -175,10 +147,11 @@ def classify_many(spec: ModelSpec, energies: np.ndarray, n_levels: int
             new = blown | hit
             escape_step[new] = n
             escaped |= new
+            overflow |= blown
             live = ~escaped
             norm = np.sqrt(x * x + y * y + z * z)
             sup = np.where(live & (norm > sup), norm, sup)
-    return escaped, escape_step, sup, inv
+    return escaped, escape_step, sup, inv, overflow
 
 
 def orbit_trace(spec: ModelSpec, E: float, n_levels: int) -> List[TraceTriple]:

@@ -28,23 +28,7 @@ def word_matrix(E: float, w: Word, f) -> np.ndarray:
     f is a mapping from alphabet labels to potential values (a dict or a
     ModelSpec potential).
     """
-    values = [f[s] for s in w]
-    m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
-    for v in values:
-        d = E - v
-        m11, m12, m21, m22 = d * m11 - m21, d * m12 - m22, m11, m12
-    return np.array([[m11, m12], [m21, m22]])
-
-
-def _matrix_power(M: np.ndarray, k: int) -> np.ndarray:
-    result = np.eye(2)
-    base = M
-    while k:
-        if k & 1:
-            result = base @ result
-        base = base @ base
-        k >>= 1
-    return result
+    return _word_matrix_stack(np.array([E], dtype=float), w, f)[0]
 
 
 def level_matrices(spec: ModelSpec, E: float, n_max: int) -> List[np.ndarray]:
@@ -53,26 +37,13 @@ def level_matrices(spec: ModelSpec, E: float, n_max: int) -> List[np.ndarray]:
     M(-1), M(0), M(1) come from the words S(a), S(b), S(s_1); higher levels
     use M(n) = M(n-2) M(n-1)^{a_n}.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    primes = level_words_prime(spec, 1)
-    f = spec.potential
-    mats = [word_matrix(E, primes[0], f), word_matrix(E, primes[1], f), word_matrix(E, primes[2], f)]
-    for n in range(2, n_max + 1):
-        a_n = spec.cf.coefficient(n)
-        mats.append(mats[n - 1] @ _matrix_power(mats[n], a_n))
-    return mats
+    return [M[0] for M in level_matrices_many(spec, np.array([E], dtype=float), n_max)]
 
 
 def initial_triple(spec: ModelSpec, E: float) -> TraceTriple:
     """(x_E(1), y_E(1), z_E(1)) = (tr M(0), tr M(1), tr(M(1) M(0))) / 2."""
-    mats = level_matrices(spec, E, 1)
-    m0, m1 = mats[1], mats[2]
-    return TraceTriple(
-        0.5 * (m0[0, 0] + m0[1, 1]),
-        0.5 * (m1[0, 0] + m1[1, 1]),
-        0.5 * float(np.trace(m1 @ m0)),
-    )
+    x, y, z = initial_triple_many(spec, np.array([E], dtype=float))
+    return TraceTriple(float(x[0]), float(y[0]), float(z[0]))
 
 
 def _word_matrix_stack(energies: np.ndarray, w: Word, f) -> np.ndarray:
@@ -106,6 +77,8 @@ def _stack_power(M: np.ndarray, k: int) -> np.ndarray:
 
 def level_matrices_many(spec: ModelSpec, energies: np.ndarray, n_max: int) -> List[np.ndarray]:
     """level_matrices over an energy array; each entry has shape (K, 2, 2)."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     energies = np.asarray(energies, dtype=float)
     primes = level_words_prime(spec, 1)
     f = spec.potential

@@ -1,9 +1,13 @@
 """Command-line frontend: output shape, determinism, error handling."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qsturm
 from qsturm.cli import main
 
 
@@ -159,3 +163,12 @@ def test_invalid_json_errors(tmp_path, capsys):
     code, _, err = run(["bands", str(p), "--level", "1"], capsys)
     assert code == 1
     assert err.startswith("error: ")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported only where it is used, so a CLI call does not pay
+    # for it at start-up.
+    src = os.path.dirname(os.path.dirname(qsturm.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, qsturm.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

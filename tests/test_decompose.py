@@ -114,6 +114,14 @@ def test_decompose_cf2(cf2_spec):
     _check_roundtrip(cf2_spec, theta=math.sqrt(2.0) - 1.0)
 
 
+def test_rotation_number_ignores_noisy_tail(q5_spec):
+    # The frequency's expansion ends in a huge coefficient (float noise);
+    # truncation must stop before forming that convergent.
+    d = cassaigne_decompose(qs_prefix(q5_spec, 10_000, shift=9))
+    theta_hat = rotation_number(d)
+    assert min(abs(theta_hat - GOLDEN), abs((1.0 - theta_hat) - GOLDEN)) < 1e-3
+
+
 def test_decompose_rejects_periodic():
     with pytest.raises(NoBispecialFound):
         cassaigne_decompose(Word.from_str("ab" * 200))

@@ -8,6 +8,7 @@ import pytest
 from qsturm.contfrac import ContinuedFraction
 from qsturm.spectrum import (
     BandList,
+    _runs,
     energy_window,
     finite_eigenvalues,
     measure_report,
@@ -118,6 +119,29 @@ def test_stable_set_guards(fib_spec):
         stable_set(fib_spec, grid=1, n_levels=15)
 
 
+def _runs_loop(mask):
+    """Reference: maximal runs of True as (first, last) index pairs."""
+    runs, i = [], 0
+    while i < len(mask):
+        if not mask[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < len(mask) and mask[j + 1]:
+            j += 1
+        runs.append((i, j))
+        i = j + 1
+    return runs
+
+
+def test_runs_match_loop():
+    rng = np.random.default_rng(3)
+    masks = [np.zeros(0, bool), np.zeros(5, bool), np.ones(5, bool)]
+    masks += [rng.random(n) < p for n in (1, 2, 17, 200) for p in (0.2, 0.5, 0.9)]
+    for mask in masks:
+        assert _runs(mask) == _runs_loop(mask)
+
+
 # ---------------------------------------------------------- finite eigenvalues
 
 def test_finite_eigenvalues_free(free_spec):
@@ -134,6 +158,17 @@ def test_finite_eigenvalues_sorted_and_sized(fib_spec):
     assert np.all(np.diff(lams) >= -1e-12)
     lo, hi = energy_window(fib_spec)
     assert np.all((lams >= lo) & (lams <= hi))
+
+
+@pytest.mark.parametrize("model", ["fib_spec", "q5_spec"])
+def test_finite_eigenvalues_match_dense(model, request):
+    from qsturm.words import qs_prefix
+    spec = request.getfixturevalue(model)
+    size, shift = 300, 17
+    v = spec.potential_values(qs_prefix(spec, size, shift=shift))
+    H = np.diag(v) + np.diag(np.ones(size - 1), 1) + np.diag(np.ones(size - 1), -1)
+    expected = np.linalg.eigvalsh(H)
+    assert finite_eigenvalues(spec, shift, size) == pytest.approx(expected, abs=1e-9)
 
 
 def test_finite_eigenvalues_guard(fib_spec):

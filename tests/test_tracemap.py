@@ -19,7 +19,9 @@ from qsturm.tracemap import (
     orbit_trace,
     step,
 )
+from qsturm.contfrac import ContinuedFraction
 from qsturm.transfer import initial_triple, level_matrices
+from qsturm.words import ModelSpec, Substitution, Word
 
 
 # ------------------------------------------------------------------ Chebyshev
@@ -142,6 +144,44 @@ def test_classify_many_agrees_with_scalar(fib_spec):
         if v.kind == "escaped":
             assert steps[i] == v.escape_step
         assert inv[i] == pytest.approx(v.invariant, rel=1e-12, abs=1e-12)
+
+
+def _reference_classify(spec, E, n_levels):
+    """Plain-Python orbit loop: (escape step or None, sup norm, invariant,
+    stopped by overflow)."""
+    x, y, z = initial_triple(spec, E)
+    inv = x * x + y * y + z * z - 2.0 * x * y * z - 1.0
+    sup = math.sqrt(x * x + y * y + z * z)
+    for n in range(2, n_levels + 1):
+        x, y, z = step(spec.cf.coefficient(n), TraceTriple(x, y, z))
+        # Test each component: max() would skip a NaN that is not first.
+        if not all(math.isfinite(c) and abs(c) <= OVERFLOW_THRESHOLD for c in (x, y, z)):
+            return n, sup, inv, True
+        if abs(y) > 1.0 and abs(z) > 1.0 and abs(y * z) > abs(x):
+            return n, sup, inv, False
+        sup = max(sup, math.sqrt(x * x + y * y + z * z))
+    return None, sup, inv, False
+
+
+@pytest.mark.parametrize("model", ["fib_spec", "q5_spec", "big_a2"])
+def test_classify_many_matches_reference_loop(model, request):
+    if model == "big_a2":
+        # a_2 = 600: U_599(y) leaves float range in one step, so orbits stop
+        # by overflow before the escape predicate can fire.
+        spec = ModelSpec(ContinuedFraction((1, 600), (1,)), Substitution.identity(),
+                         Word.from_str("", ("a", "b")), {"a": 2.0, "b": 0.0})
+    else:
+        spec = request.getfixturevalue(model)
+    energies = np.concatenate([np.linspace(-2.5, 4.5, 57), [30.0, 100.0]])
+    escaped, steps, sup, inv = classify_many(spec, energies, 25)
+    for i, E in enumerate(energies):
+        ref_step, ref_sup, ref_inv, ref_overflow = _reference_classify(spec, float(E), 25)
+        assert escaped[i] == (ref_step is not None)
+        assert steps[i] == (-1 if ref_step is None else ref_step)
+        assert sup[i] == pytest.approx(ref_sup, rel=1e-12)
+        assert inv[i] == pytest.approx(ref_inv, rel=1e-12, abs=1e-12)
+        v = classify_orbit(spec, float(E), 25)
+        assert (v.escape_step, v.overflow) == (ref_step, ref_overflow)
 
 
 def test_escape_set_membership_predicate():

@@ -89,6 +89,24 @@ def test_vectorized_matrices_match_scalar(fib_spec):
         assert ht[i] == pytest.approx(0.5 * np.trace(M))
 
 
+@pytest.mark.parametrize("model", ["fib_spec", "q5_spec"])
+def test_level_matrices_many_match_site_products(model, request):
+    # Oracle: the product of single-site matrices over s'_n, built site by
+    # site without the level recursion.
+    from qsturm.words import level_words_prime
+    spec = request.getfixturevalue(model)
+    energies = np.array([-1.3, 0.2, 1.1, 2.6, 4.0])
+    stacks = level_matrices_many(spec, energies, 6)
+    primes = level_words_prime(spec, 6)
+    for i, E in enumerate(energies):
+        for n in range(-1, 7):
+            ref = np.eye(2)
+            for v in spec.potential_values(primes[n + 1]):
+                ref = local_matrix(E, v) @ ref
+            err = np.max(np.abs(stacks[n + 1][i] - ref))
+            assert err <= 1e-10 * np.max(np.abs(ref))
+
+
 # ------------------------------------------------------------------- Lyapunov
 
 def test_lyapunov_free_case_closed_form(free_spec):
