@@ -91,8 +91,10 @@ def _cmd_generate(spec, args, out: Output):
 
 def _cmd_complexity(spec, args, out: Output):
     w = qs_prefix(spec, args.length, shift=args.shift)
+    # detect_qs asks for the deeper factor index, which complexity then reuses;
+    # a --nmax that does not fit the word still fails in complexity first.
+    cls = detect_qs(w) if args.nmax < len(w) else None
     p = complexity(w, args.nmax)
-    cls = detect_qs(w)
     out.extra["classification"] = {"kind": cls.kind, "k": cls.k, "n0": cls.n0}
     out.header(["n", "p_n"])
     for i, pn in enumerate(p, start=1):

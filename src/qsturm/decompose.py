@@ -17,7 +17,7 @@ from .errors import (
     RegenerationMismatch,
     WindowTooLarge,
 )
-from .words import Word, Substitution, complexity, safe_window, substitute
+from .words import Word, Substitution, complexity, factor_index, safe_window, substitute
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,7 @@ def _distinct_windows(w: Word, n: int) -> List[Word]:
     """Distinct length-n factors of w, in order of first occurrence."""
     if n == 0:
         return [w[:0]]
-    wb = w.to_bytes()
-    seen = {}
-    for i in range(len(w) - n + 1):
-        key = wb[i:i + n]
-        if key not in seen:
-            seen[key] = i
-    return [w[i:i + n] for i in sorted(seen.values())]
+    return [w[i:i + n] for i in factor_index(w, n).first_occurrences(n)]
 
 
 def rauzy_graph(w: Word, n: int) -> RauzyGraph:
@@ -142,17 +136,6 @@ class Decomposition:
     window_length: int
 
 
-def _bytes_occurrences(hay: bytes, needle: bytes) -> List[int]:
-    out = []
-    start = 0
-    while True:
-        i = hay.find(needle, start)
-        if i < 0:
-            return out
-        out.append(i)
-        start = i + 1
-
-
 def cassaigne_decompose(w: Word) -> Decomposition:
     """Extract (prefix, substitution, Sturmian base) via the shortest bispecial
     factor whose two return words generate the window.
@@ -165,27 +148,20 @@ def cassaigne_decompose(w: Word) -> Decomposition:
     if cls.kind not in ("sturmian", "quasi_sturmian"):
         raise NoBispecialFound(f"input classified as {cls.kind}; nothing to decompose")
 
-    wb = w.to_bytes()
     start_n = cls.n0 - 1 if cls.kind == "sturmian" else cls.n0
     start_n = max(0, start_n)
     stop_n = min(safe_window(w), start_n + _MAX_BISPECIAL_SCAN)
     for n in range(start_n, stop_n):
-        occ, returns, ext_codes = _return_structure(w, wb, n)
-        if occ is None:
+        found = _return_structure(w, n)
+        if found is None:
             continue
-        base_codes = _choice_sequence(wb, occ, returns, ext_codes, n)
-        if base_codes is None:
-            continue
+        occ, images, base_codes = found
         base = Word(base_codes, ("a", "b"))
         if not _looks_sturmian(base):
             continue
-        lo = sorted(returns)
-        subst = Substitution({
-            "a": Word(np.frombuffer(returns[lo[0]], dtype=np.uint8).astype(np.int32), w.alphabet),
-            "b": Word(np.frombuffer(returns[lo[1]], dtype=np.uint8).astype(np.int32), w.alphabet),
-        })
+        subst = Substitution({"a": images[0], "b": images[1]})
         prefix_w = w[:occ[0]]
-        window_length = occ[-1]
+        window_length = int(occ[-1])
         regenerated = prefix_w + substitute(subst, base)
         if regenerated != w[:window_length]:
             raise RegenerationMismatch("internal error: decomposition does not regenerate the window")
@@ -205,89 +181,70 @@ _MAX_BISPECIAL_SCAN = 512
 _MIN_TAIL_RETURNS = 8
 
 
-def _recurrent_bispecial(wb: bytes, n: int):
-    """The unique bispecial length-n factor among recurrent factors, or None.
+def _recurrent_bispecial(w: Word, n: int) -> Optional[np.ndarray]:
+    """Sorted occurrences of the unique bispecial length-n factor (n >= 1)
+    among recurrent factors, or None.
 
     Factors seen only once (transient head, junction artifacts) are ignored:
     they are not factors of the underlying two-sided hull.
     """
-    counts: Dict[bytes, int] = {}
-    for i in range(len(wb) - n):
-        key = wb[i:i + n + 1]
-        counts[key] = counts.get(key, 0) + 1
-    out_deg: Dict[bytes, int] = {}
-    in_deg: Dict[bytes, int] = {}
-    for key, c in counts.items():
-        if c < 2:
-            continue
-        out_deg[key[:-1]] = out_deg.get(key[:-1], 0) + 1
-        in_deg[key[1:]] = in_deg.get(key[1:], 0) + 1
-    right = [v for v, d in out_deg.items() if d >= 2]
-    left = [v for v, d in in_deg.items() if d >= 2]
+    index = factor_index(w, n + 1)
+    vertex = index.classes(n)
+    edges = index.run_starts(n + 1)
+    count = np.diff(np.append(edges, len(w)))
+    first = index.order[edges[count >= 2]]  # one occurrence per recurrent edge
+    right = np.flatnonzero(np.bincount(vertex[first]) >= 2)
+    left = np.flatnonzero(np.bincount(vertex[first + 1]) >= 2)
     if len(right) != 1 or len(left) != 1 or right[0] != left[0]:
         return None
-    return right[0]
+    return np.flatnonzero(vertex == right[0])
 
 
-def _return_structure(w: Word, wb: bytes, n: int):
-    """Bispecial factor at length n together with its two return words.
+def _return_structure(w: Word, n: int):
+    """Bispecial factor at length n, its two return words and the path choices.
 
-    Returns (occurrences, {extension_code: return_bytes}, extension codes) or
-    (None, None, None) if length n does not work. Leading occurrences whose
-    return word is anomalous (a finite transient before the recurrent
-    two-path regime) are dropped.
+    Returns (occurrences, (return word 'a', return word 'b'), choice codes)
+    or None if length n does not work. Passage j runs from occurrence j to
+    occurrence j+1 and extends the factor by the symbol at occ[j] + n; the
+    path extending it by the smaller symbol is 'a' (code 0). Leading passages
+    are dropped up to the last one that breaks the two-path regime: a third
+    extension, or a return word other than the last one seen with its
+    extension (a finite transient before the recurrent regime).
     """
     if n == 0:
         if len(w.alphabet) < 2:
-            return None, None, None
-        occ = list(range(len(w)))
+            return None
+        occ = np.arange(len(w))
     else:
-        bis = _recurrent_bispecial(wb, n)
-        if bis is None:
-            return None, None, None
-        occ = _bytes_occurrences(wb, bis)
+        occ = _recurrent_bispecial(w, n)
+        if occ is None:
+            return None
     if len(occ) < _MIN_TAIL_RETURNS:
-        return None, None, None
-    pairs = []  # (extension symbol code, return word) per passage
-    for j in range(len(occ) - 1):
-        ext_pos = occ[j] + n
-        if ext_pos >= len(wb):
-            break
-        pairs.append((wb[ext_pos], wb[occ[j]:occ[j + 1]]))
-    # Longest consistent tail: exactly two extensions, each with one return word.
-    returns: Dict[int, bytes] = {}
-    j0 = 0
-    for j in range(len(pairs) - 1, -1, -1):
-        ext, r = pairs[j]
-        if ext in returns:
-            if returns[ext] != r:
-                j0 = j + 1
-                break
-        elif len(returns) == 2:
-            j0 = j + 1
-            break
-        else:
-            returns[ext] = r
-    if len(returns) != 2 or len(pairs) - j0 < _MIN_TAIL_RETURNS:
-        return None, None, None
-    return occ[j0:], returns, sorted(returns)
-
-
-def _choice_sequence(wb: bytes, occ, returns, ext_codes, n):
-    """Letter codes (0='a', 1='b') of the path choices, ordered by occurrence."""
-    code_of = {ext_codes[0]: 0, ext_codes[1]: 1}
-    out = np.empty(len(occ) - 1, dtype=np.int32)
-    for j in range(len(occ) - 1):
-        ext_pos = occ[j] + n
-        if ext_pos >= len(wb):
-            return None
-        ext = wb[ext_pos]
-        if ext not in code_of:
-            return None
-        if wb[occ[j]:occ[j + 1]] != returns[ext]:
-            return None
-        out[j] = code_of[ext]
-    return out
+        return None
+    ext = w.codes[occ[:-1] + n]
+    length = np.diff(occ)
+    other = np.flatnonzero(ext != ext[-1])
+    if len(other) == 0:
+        return None
+    ref = np.array([len(ext) - 1, other[-1]])  # last passage with each extension
+    which = np.where(ext == ext[-1], 0, np.where(ext == ext[ref[1]], 1, -1))
+    ok = (which >= 0) & (length == length[ref[which]])
+    # Compare each candidate return word with its reference, symbol by
+    # symbol: the return words tile the window, so this costs O(|w|).
+    sel = np.flatnonzero(ok)
+    size = length[sel]
+    start = np.cumsum(size) - size
+    offset = np.arange(int(size.sum())) - np.repeat(start, size)
+    mine = w.codes[np.repeat(occ[sel], size) + offset]
+    theirs = w.codes[np.repeat(occ[ref[which[sel]]], size) + offset]
+    ok[sel[np.logical_or.reduceat(mine != theirs, start)]] = False
+    bad = np.flatnonzero(~ok)
+    j0 = int(bad[-1]) + 1 if len(bad) else 0
+    if ref[1] < j0 or len(ext) - j0 < _MIN_TAIL_RETURNS:
+        return None
+    ref = ref[np.argsort(ext[ref])]
+    images = tuple(w[occ[r]:occ[r + 1]] for r in ref)
+    return occ[j0:], images, (ext[j0:] == ext[ref[1]]).astype(np.int32)
 
 
 def _looks_sturmian(base: Word) -> bool:

@@ -1,5 +1,5 @@
-"""Sturmian and quasi-Sturmian words: level words, substitutions, complexity,
-palindromes, reflection, square search.
+"""Sturmian and quasi-Sturmian words: level words, substitutions, the factor
+index and complexity, palindromes, reflection, square search.
 
 Words are stored as integer-coded numpy arrays together with a label table,
 so quasi-Sturmian alphabets of any size work; labels are opaque strings.
@@ -29,13 +29,14 @@ DEFAULT_LENGTH_BUDGET = 50_000_000
 class Word:
     """Immutable finite word over a labelled alphabet."""
 
-    __slots__ = ("codes", "alphabet")
+    __slots__ = ("codes", "alphabet", "_index")
 
     def __init__(self, codes, alphabet: Sequence[str]):
         arr = np.asarray(codes, dtype=np.int32)
         arr.setflags(write=False)
         self.codes = arr
         self.alphabet = tuple(alphabet)
+        self._index: Optional["FactorIndex"] = None  # memo of factor_index
         if len(self.alphabet) > 255:
             raise ValueError("alphabets larger than 255 symbols are not supported")
 
@@ -105,7 +106,7 @@ class Word:
         return Word(table[self.codes] if len(self.codes) else self.codes, alphabet)
 
     def to_str(self) -> str:
-        return "".join(self.alphabet[c] for c in self.codes)
+        return "".join(map(self.alphabet.__getitem__, self.codes.tolist()))
 
     def to_bytes(self) -> bytes:
         return self.codes.astype(np.uint8).tobytes()
@@ -169,21 +170,15 @@ class Substitution:
 def substitute(s: Substitution, w: Word) -> Word:
     """Morphic image S(w); |S(w)| = sum of image lengths."""
     alphabet = s.target_alphabet
-    pieces = []
-    for letter in w.alphabet:
-        if letter in s.images:
-            pieces.append(s.images[letter].recode(alphabet).codes)
-        else:
-            pieces.append(None)
-    out = []
-    for c in w.codes:
-        img = pieces[c]
-        if img is None:
-            raise SymbolOutsideDomain(f"symbol {w.alphabet[c]!r} outside substitution domain")
-        out.append(img)
-    if not out:
-        return Word(np.empty(0, dtype=np.int32), alphabet)
-    return Word(np.concatenate(out), alphabet)
+    missing = [letter not in s.images for letter in w.alphabet]
+    if any(missing):
+        bad = np.flatnonzero(np.array(missing)[w.codes])
+        if len(bad):
+            raise SymbolOutsideDomain(f"symbol {w[int(bad[0])]!r} outside substitution domain")
+    images = [s.images[letter].recode(alphabet).codes if letter in s.images
+              else np.empty(0, dtype=np.int32) for letter in w.alphabet]
+    pieces = [images[c] for c in w.codes.tolist()] or [np.empty(0, dtype=np.int32)]
+    return Word(np.concatenate(pieces), alphabet)
 
 
 def reflect_subst(s: Substitution) -> Substitution:
@@ -316,50 +311,80 @@ def qs_prefix(spec: ModelSpec, length: int, shift: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# factor complexity via suffix array (exact counts on the finite word)
+# factor index: suffix order and capped LCP (exact counts on the finite word)
 
-def _suffix_array(codes: np.ndarray) -> np.ndarray:
-    """Suffix array by prefix doubling with numpy sorts; O(n log^2 n)."""
+class FactorIndex:
+    """Suffixes of a word sorted by their first `cap` symbols, with the LCP of
+    neighbours capped at `cap`: lcp[k] = min(lcp(order[k], order[k+1]), cap).
+
+    For every m <= cap the length-m windows that are equal sit in one run of
+    `order` joined by lcp >= m; each suffix shorter than m is a run of its own.
+    """
+
+    __slots__ = ("order", "lcp", "cap")
+
+    def __init__(self, order: np.ndarray, lcp: np.ndarray, cap: int):
+        self.order, self.lcp, self.cap = order, lcp, cap
+
+    def run_starts(self, m: int) -> np.ndarray:
+        """Index into `order` at which each run of equal length-m prefixes starts."""
+        new = np.ones(len(self.order), dtype=bool)
+        new[1:] = self.lcp < m
+        return np.flatnonzero(new)
+
+    def classes(self, m: int) -> np.ndarray:
+        """Run number at length m of the suffix starting at each position."""
+        out = np.empty(len(self.order), dtype=np.int64)
+        out[self.order] = np.cumsum(np.concatenate(([0], self.lcp < m)))
+        return out
+
+    def first_occurrences(self, m: int) -> np.ndarray:
+        """Start of the first occurrence of each distinct length-m factor, ascending."""
+        first = np.minimum.reduceat(self.order, self.run_starts(m))
+        return np.sort(first[first <= len(self.order) - m])
+
+
+def _build_index(codes: np.ndarray, length: int) -> FactorIndex:
+    """Prefix doubling (Manber & Myers) stopped once 2^P >= length, then the
+    capped LCP by binary lifting over the ranks of every round.
+
+    Each round sorts one int64 key rank*(top+2) + next+1; the doubling also
+    stops early when all ranks are distinct, and the LCP is then exact.
+    O(n log n) per round, P = ceil(log2 length) rounds.
+    """
     n = len(codes)
-    rank = np.asarray(codes, dtype=np.int64)
-    sa = np.argsort(rank, kind="stable")
-    k = 1
-    while k < n:
-        key2 = np.full(n, -1, dtype=np.int64)
-        key2[: n - k] = rank[k:]
-        order = np.lexsort((key2, rank))
-        pair = np.stack([rank[order], key2[order]])
-        new_rank = np.empty(n, dtype=np.int64)
-        changed = np.ones(n, dtype=bool)
-        changed[1:] = (pair[:, 1:] != pair[:, :-1]).any(axis=0)
-        new_rank[order] = np.cumsum(changed) - 1
-        rank = new_rank
-        sa = order
-        if rank[order[-1]] == n - 1:
-            break
-        k *= 2
-    return sa
+    rank = np.unique(codes, return_inverse=True)[1].astype(np.int32)
+    order = np.argsort(rank, kind="stable")
+    ranks = [rank]  # ranks[p][i] ranks w[i:i+2^p]; equal ranks mean equal full windows
+    span, top = 1, int(rank.max(initial=-1))
+    while span < length and top < n - 1:
+        key = rank.astype(np.int64) * (top + 2)
+        key[: n - span] += rank[span:] + 1
+        order = np.argsort(key)
+        sorted_key = key[order]
+        rank = np.empty(n, dtype=np.int32)
+        rank[order] = np.cumsum(np.concatenate(([0], sorted_key[1:] != sorted_key[:-1])))
+        top = int(rank[order[-1]])
+        ranks.append(rank)
+        span *= 2
+    left, right = order[:-1], order[1:]
+    lcp = np.zeros(len(left), dtype=np.int64)
+    for p in range(len(ranks) - 2, -1, -1):
+        r = np.append(ranks[p], -1)  # the end of the word matches nothing
+        lcp[r[left + lcp] == r[right + lcp]] += 1 << p
+    tied = ranks[-1][left] == ranks[-1][right]
+    lcp[tied] = span
+    cap = span if tied.any() else n
+    return FactorIndex(order.astype(np.int32), lcp.astype(np.int32), cap)
 
 
-def _lcp_array(codes: np.ndarray, sa: np.ndarray) -> np.ndarray:
-    """Kasai: lcp[i] = lcp(suffix sa[i], suffix sa[i+1])."""
-    n = len(codes)
-    rank = np.empty(n, dtype=np.int64)
-    rank[sa] = np.arange(n)
-    lcp = np.zeros(max(n - 1, 0), dtype=np.int64)
-    h = 0
-    for i in range(n):
-        r = rank[i]
-        if r == n - 1:
-            h = 0
-            continue
-        j = sa[r + 1]
-        while i + h < n and j + h < n and codes[i + h] == codes[j + h]:
-            h += 1
-        lcp[r] = h
-        if h:
-            h -= 1
-    return lcp
+def factor_index(w: Word, length: int) -> FactorIndex:
+    """The factor index of w answering lengths up to `length`, memoised on w;
+    rebuilt only when a longer length is asked for."""
+    if w._index is None or w._index.cap < min(length, len(w)):
+        w._index = None  # free the shallower index before the build allocates
+        w._index = _build_index(w.codes, length)
+    return w._index
 
 
 def complexity(w: Word, n_max: int) -> List[int]:
@@ -373,12 +398,11 @@ def complexity(w: Word, n_max: int) -> List[int]:
         raise WindowTooLarge(f"n_max {n_max} must be < |w| = {N}")
     if n_max < 1:
         return []
-    sa = _suffix_array(w.codes)
-    lcp = np.sort(_lcp_array(w.codes, sa))
-    ns = np.arange(1, n_max + 1)
+    lcp = factor_index(w, n_max).lcp
     # distinct length-n factors = windows (N-n+1) minus repeats (lcp >= n)
-    repeats = len(lcp) - np.searchsorted(lcp, ns, side="left")
-    return [int(x) for x in (N - ns + 1) - repeats]
+    repeats = np.cumsum(np.bincount(np.minimum(lcp, n_max), minlength=n_max + 1)[::-1])[::-1]
+    ns = np.arange(1, n_max + 1)
+    return [int(x) for x in (N - ns + 1) - repeats[1:]]
 
 
 SAFE_WINDOW_DIVISOR = 4

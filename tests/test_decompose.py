@@ -1,10 +1,14 @@
 """Rauzy graphs, classification, and the Cassaigne decomposition."""
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 
 from qsturm.decompose import (
+    _recurrent_bispecial,
+    _return_structure,
     cassaigne_decompose,
     detect_qs,
     rauzy_graph,
@@ -12,9 +16,77 @@ from qsturm.decompose import (
     special_factors,
 )
 from qsturm.errors import InconclusiveWindow, NoBispecialFound, WindowTooLarge
-from qsturm.words import Word, complexity, qs_prefix, substitute
+from qsturm.words import ModelSpec, Substitution, Word, complexity, qs_prefix, substitute
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+MODEL_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "models"
+MODELS = ("fibonacci", "q5", "digits", "prefixed")
+
+
+def _model_word(name, length, shift=0):
+    spec = ModelSpec.from_json(json.loads((MODEL_DIR / f"{name}.json").read_text()))
+    return qs_prefix(spec, length, shift=shift)
+
+
+# Reference implementations: plain loops over byte windows.
+
+def _distinct_windows_loop(w, n):
+    if n == 0:
+        return [w[:0]]
+    wb = w.to_bytes()
+    seen = {}
+    for i in range(len(w) - n + 1):
+        seen.setdefault(wb[i:i + n], i)
+    return [w[i:i + n] for i in sorted(seen.values())]
+
+
+def _recurrent_bispecial_dict(wb, n):
+    counts = {}
+    for i in range(len(wb) - n):
+        key = wb[i:i + n + 1]
+        counts[key] = counts.get(key, 0) + 1
+    out_deg, in_deg = {}, {}
+    for key, c in counts.items():
+        if c >= 2:
+            out_deg[key[:-1]] = out_deg.get(key[:-1], 0) + 1
+            in_deg[key[1:]] = in_deg.get(key[1:], 0) + 1
+    right = [v for v, d in out_deg.items() if d >= 2]
+    left = [v for v, d in in_deg.items() if d >= 2]
+    if len(right) != 1 or len(left) != 1 or right[0] != left[0]:
+        return None
+    return right[0]
+
+
+def _occurrences(wb, needle):
+    out, i = [], wb.find(needle)
+    while i >= 0:
+        out.append(i)
+        i = wb.find(needle, i + 1)
+    return out
+
+
+def _return_structure_loop(w, n):
+    """Walk the passages backwards, keeping the longest two-path tail."""
+    wb = w.to_bytes()
+    if n == 0:
+        occ = list(range(len(w))) if len(w.alphabet) >= 2 else []
+    else:
+        bis = _recurrent_bispecial_dict(wb, n)
+        occ = [] if bis is None else _occurrences(wb, bis)
+    if len(occ) < 8:
+        return None
+    pairs = [(wb[occ[j] + n], wb[occ[j]:occ[j + 1]]) for j in range(len(occ) - 1)]
+    returns, j0 = {}, 0
+    for j in range(len(pairs) - 1, -1, -1):
+        ext, r = pairs[j]
+        if (ext in returns and returns[ext] != r) or (ext not in returns and len(returns) == 2):
+            j0 = j + 1
+            break
+        returns[ext] = r
+    if len(returns) != 2 or len(pairs) - j0 < 8:
+        return None
+    lo, hi = sorted(returns)
+    return occ[j0:], (returns[lo], returns[hi]), [int(e == hi) for e, _ in pairs[j0:]]
 
 
 # --------------------------------------------------------------- Rauzy graphs
@@ -26,6 +98,16 @@ def test_rauzy_graph_counts_match_complexity(q5_spec):
         g = rauzy_graph(w, n)
         assert len(g.vertices) == p[n - 1]
         assert len(g.edges) == p[n]
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_rauzy_graph_matches_window_loop(model):
+    for w in (_model_word(model, 3000), _model_word(model, 2000, shift=77),
+              Word.from_str("abaababaabaab" * 3 + "ccab")):
+        for n in range(0, min(13, len(w) // 4 + 1)):
+            g = rauzy_graph(w, n)
+            assert list(g.vertices) == _distinct_windows_loop(w, n)
+            assert list(g.edges) == _distinct_windows_loop(w, n + 1)
 
 
 def test_rauzy_edge_endpoints(fib_spec):
@@ -85,6 +167,71 @@ def test_detect_too_short():
 
 
 # -------------------------------------------------------------- decomposition
+
+@pytest.mark.parametrize("model", MODELS)
+def test_recurrent_bispecial_matches_dict_scan(model):
+    for w in (_model_word(model, 10_000), _model_word(model, 4000, shift=611)):
+        wb = w.to_bytes()
+        n0 = detect_qs(w).n0
+        found = 0
+        for n in range(max(1, n0), n0 + 31):
+            bis = _recurrent_bispecial_dict(wb, n)
+            occ = _recurrent_bispecial(w, n)
+            if bis is None:
+                assert occ is None
+                continue
+            found += 1
+            assert occ.tolist() == _occurrences(wb, bis)
+        assert found > 0
+
+
+def _check_return_structure(w, n):
+    expected = _return_structure_loop(w, n)
+    got = _return_structure(w, n)
+    assert (got is None) == (expected is None)
+    if got is not None:
+        occ, images, base = got
+        assert occ.tolist() == expected[0]
+        assert tuple(img.to_bytes() for img in images) == expected[1]
+        assert base.tolist() == expected[2]
+    return got
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_return_structure_matches_passage_loop(model):
+    for w in (_model_word(model, 10_000), _model_word(model, 4000, shift=611)):
+        n0 = detect_qs(w).n0
+        for n in range(max(0, n0 - 1), n0 + 31):
+            _check_return_structure(w, n)
+
+
+def _headed_word(kind):
+    """A word whose head breaks the two-path regime of some bispecial factor."""
+    if kind == "long-return":
+        # A copy of a return word longer than n + 1 with its last symbol
+        # changed: same extension and length as the real one, other content.
+        s = Substitution.from_strings({"a": "0010", "b": "011"})
+        body = substitute(s, _model_word("fibonacci", 1000)).recode(("0", "1", "2"))
+        r = max(_return_structure_loop(body, 5)[1], key=len)
+        return Word(list(r[:-1]) + [2], body.alphabet) + body
+    # A head over a, b and a foreign c: a third extension, or a return word
+    # of another length.
+    body = _model_word("fibonacci", 3000).recode(("a", "b", "c"))
+    return Word.from_str(kind, body.alphabet) + body
+
+
+@pytest.mark.parametrize("kind", ["c", "acb", "babbab", "abaabcabaab", "long-return"])
+def test_return_structure_drops_transient_passages(kind):
+    w = _headed_word(kind)
+    wb = w.to_bytes()
+    trimmed = False
+    for n in range(0, 31):
+        got = _check_return_structure(w, n)
+        if got is not None:
+            start = got[0][0]  # first passage kept, after the first occurrence?
+            trimmed |= start > wb.find(wb[start:start + n])
+    assert trimmed
+
 
 def _check_roundtrip(spec, length=100_000, theta=GOLDEN, tol=1e-3):
     w = qs_prefix(spec, length)

@@ -1,5 +1,6 @@
 """Words, substitutions, level words, complexity, palindromes, squares."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -104,6 +105,43 @@ def test_substitute_concatenates():
     assert substitute(s, w).to_str() == "011001001011"
 
 
+def _substitute_loop(s, w):
+    """Reference: concatenate the images symbol by symbol."""
+    alphabet = s.target_alphabet
+    out = []
+    for c in w.codes:
+        letter = w.alphabet[c]
+        if letter not in s.images:
+            raise SymbolOutsideDomain(f"symbol {letter!r} outside substitution domain")
+        out.append(s.images[letter].recode(alphabet).codes)
+    return Word(np.concatenate(out) if out else np.empty(0, dtype=np.int32), alphabet)
+
+
+_LABELS = ("a", "b", "c", "xy", "\u03b1", "")
+
+
+@given(st.lists(st.text("01z", min_size=1, max_size=7), min_size=1, max_size=4),
+       st.lists(st.integers(0, 4), max_size=60))
+@settings(max_examples=80, deadline=None)
+def test_substitute_and_to_str_match_loops(images, letters):
+    # Images for the first len(images) letters only: letter codes beyond
+    # them are outside the domain and must raise the loop's error.
+    s = Substitution.from_strings({"abcde"[i]: img for i, img in enumerate(images)})
+    w = Word(letters, tuple("abcde"))
+    try:
+        expected = _substitute_loop(s, w)
+    except SymbolOutsideDomain as e:
+        with pytest.raises(SymbolOutsideDomain, match=str(e)):
+            substitute(s, w)
+        return
+    got = substitute(s, w)
+    assert got.alphabet == expected.alphabet
+    assert got.codes.tolist() == expected.codes.tolist()
+    labelled = Word([c % len(_LABELS) for c in letters], _LABELS)
+    assert labelled.to_str() == "".join(_LABELS[c] for c in labelled.codes)
+    assert got.to_str() == "".join(got.alphabet[c] for c in got.codes)
+
+
 def test_substitution_aperiodicity():
     assert Substitution.from_strings({"a": "011001", "b": "001011"}).is_aperiodic()
     assert Substitution.from_strings({"a": "ab", "b": "b"}).is_aperiodic()
@@ -165,6 +203,47 @@ def test_sturmian_complexity(fib_cf):
 def test_periodic_complexity_is_bounded():
     w = Word.from_str("ab" * 100, ("a", "b"))
     assert complexity(w, 10) == [2] * 10
+
+
+@pytest.mark.parametrize("length", [1000, 30_000])
+def test_substitute_long_words_match_loop(length):
+    # Images of lengths 1, 3 and 2.
+    s = Substitution.from_strings({"a": "0", "b": "01z", "c": "z1"})
+    w = Word(np.random.default_rng(length).integers(0, 3, length), ("a", "b", "c"))
+    assert substitute(s, w) == _substitute_loop(s, w)
+    with pytest.raises(SymbolOutsideDomain, match="'d'"):
+        substitute(s, Word(np.r_[w.codes, 3, 0], ("a", "b", "c", "d")))
+
+
+def _brute_complexity(codes, n_max):
+    return [len({tuple(codes[i:i + n]) for i in range(len(codes) - n + 1)})
+            for n in range(1, n_max + 1)]
+
+
+# A short random block repeated gives long repeated factors, so both the
+# capped index (ties left at 2^P) and the fully sorted one are reached.
+_words = st.tuples(st.integers(2, 4), st.lists(st.integers(0, 3), min_size=1, max_size=12),
+                   st.integers(1, 8), st.lists(st.integers(0, 3), max_size=12)).map(
+    lambda t: [c % t[0] for c in t[1] * t[2] + t[3]]).filter(lambda codes: len(codes) >= 2)
+
+
+@given(_words, st.data())
+@settings(max_examples=150, deadline=None)
+def test_complexity_matches_brute_force(codes, data):
+    n_max = data.draw(st.integers(1, len(codes) - 1))
+    w = Word(codes, ("a", "b", "c", "d"))
+    assert complexity(w, n_max) == _brute_complexity(codes, n_max)
+
+
+@given(_words, st.data())
+@settings(max_examples=80, deadline=None)
+def test_complexity_reuses_and_regrows_index(codes, data):
+    small = data.draw(st.integers(1, len(codes) - 1))
+    large = data.draw(st.integers(small, len(codes) - 1))
+    w = Word(codes, ("a", "b", "c", "d"))
+    complexity(w, small)
+    assert complexity(w, large) == complexity(Word(codes, ("a", "b", "c", "d")), large)
+    assert complexity(w, small) == _brute_complexity(codes, small)
 
 
 def test_complexity_window_guard():
