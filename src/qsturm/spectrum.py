@@ -66,20 +66,22 @@ def periodic_bands(spec: ModelSpec, n: int, tol: float = 1e-10) -> BandList:
     expected = len(level_words_prime(spec, n)[n + 1])
     lo, hi = energy_window(spec)
 
+    # Each retry doubles the grid; linspace(lo, hi, 2N + 1)[::2] equals
+    # linspace(lo, hi, N + 1) bitwise, so only the new points are evaluated.
     seed = max(8 * expected, 1024)
-    prev_count = -1
-    for _attempt in range(5):
-        grid = np.linspace(lo, hi, seed + 1)
-        with np.errstate(over="ignore"):
-            g = np.abs(2.0 * half_traces_many(spec, grid, n)) - 2.0
-        inside = g <= 0.0
-        bands = _bands_from_indicator(spec, n, grid, g, inside, tol)
-        if len(bands) >= expected:
-            break
-        if len(bands) == prev_count:
-            break  # touching bands merge; the count has stabilized
-        prev_count = len(bands)
+    grid = np.linspace(lo, hi, seed + 1)
+    inside = _in_band(spec, n, grid)
+    count, prev_count = len(_runs(inside)), -1
+    for _retry in range(4):
+        if count >= expected or count == prev_count:
+            break  # all found, or touching bands merge and the count is stable
         seed *= 2
+        grid = np.linspace(lo, hi, seed + 1)
+        finer = np.empty(seed + 1, dtype=bool)
+        finer[::2] = inside
+        finer[1::2] = _in_band(spec, n, grid[1::2])
+        inside, prev_count, count = finer, count, len(_runs(finer))
+    bands = _bands_from_indicator(spec, n, grid, inside, tol)
     if not bands:
         raise GridTooCoarse(
             f"no bands found for level {n} on a {seed}-point grid"
@@ -88,7 +90,15 @@ def periodic_bands(spec: ModelSpec, n: int, tol: float = 1e-10) -> BandList:
     return BandList(tuple(bands), level=f"periodic:{n}", merged=merged)
 
 
-def _bands_from_indicator(spec, n, grid, g, inside, tol) -> List[Tuple[float, float]]:
+def _in_band(spec, n, energies) -> np.ndarray:
+    """|tr M_E(n)| <= 2, elementwise."""
+    # Entries overflow only where |tr M_E(n)| >> 2, that is outside every band.
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.abs(2.0 * half_traces_many(spec, energies, n)) - 2.0
+    return np.isfinite(g) & (g <= 0.0)
+
+
+def _bands_from_indicator(spec, n, grid, inside, tol) -> List[Tuple[float, float]]:
     """Assemble bands from the seed-grid indicator, bisecting all boundaries
     simultaneously."""
     runs = _runs(inside)
@@ -132,9 +142,7 @@ def _bisect_edges(spec, n, e_out, e_in, tol):
         if np.max(np.abs(e_out - e_in)) <= tol:
             break
         mid = 0.5 * (e_out + e_in)
-        with np.errstate(over="ignore"):
-            g = np.abs(2.0 * half_traces_many(spec, mid, n)) - 2.0
-        hit = g <= 0.0
+        hit = _in_band(spec, n, mid)
         e_in = np.where(hit, mid, e_in)
         e_out = np.where(hit, e_out, mid)
     return e_in

@@ -1,14 +1,16 @@
 """Transfer matrices over words and levels, Lyapunov estimates, solution
 propagation, local norms, Gordon residuals, and solution growth exponents.
 
-Matrices are plain 2x2 float numpy arrays; products apply the matrix of the
-FIRST symbol of a word first (rightmost factor in the product).
+Matrices are plain 2x2 float numpy arrays, or over an energy array four entry
+arrays (m11, m12, m21, m22); products apply the matrix of the FIRST symbol of
+a word first (rightmost factor in the product).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import List, NamedTuple, Tuple
+from typing import Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -28,7 +30,7 @@ def word_matrix(E: float, w: Word, f) -> np.ndarray:
     f is a mapping from alphabet labels to potential values (a dict or a
     ModelSpec potential).
     """
-    return _word_matrix_stack(np.array([E], dtype=float), w, f)[0]
+    return _stack(_word_entries(np.array([E], dtype=float), w, f))[0]
 
 
 def level_matrices(spec: ModelSpec, E: float, n_max: int) -> List[np.ndarray]:
@@ -46,8 +48,11 @@ def initial_triple(spec: ModelSpec, E: float) -> TraceTriple:
     return TraceTriple(float(x[0]), float(y[0]), float(z[0]))
 
 
-def _word_matrix_stack(energies: np.ndarray, w: Word, f) -> np.ndarray:
-    """word_matrix vectorized over an energy array; shape (K, 2, 2)."""
+Entries = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _word_entries(energies: np.ndarray, w: Word, f) -> Entries:
+    """word_matrix vectorized over an energy array, as entries (m11, m12, m21, m22)."""
     K = len(energies)
     m11 = np.ones(K)
     m12 = np.zeros(K)
@@ -56,59 +61,64 @@ def _word_matrix_stack(energies: np.ndarray, w: Word, f) -> np.ndarray:
     for s in w:
         d = energies - f[s]
         m11, m12, m21, m22 = d * m11 - m21, d * m12 - m22, m11, m12
-    out = np.empty((K, 2, 2))
-    out[:, 0, 0] = m11
-    out[:, 0, 1] = m12
-    out[:, 1, 0] = m21
-    out[:, 1, 1] = m22
-    return out
+    return m11, m12, m21, m22
 
 
-def _stack_power(M: np.ndarray, k: int) -> np.ndarray:
-    result = np.broadcast_to(np.eye(2), M.shape).copy()
-    base = M
-    while k:
+def _stack(m: Entries) -> np.ndarray:
+    return np.stack(m, axis=-1).reshape(-1, 2, 2)
+
+
+def _mul(A: Entries, B: Entries) -> Entries:
+    a11, a12, a21, a22 = A
+    b11, b12, b21, b22 = B
+    return (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+            a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
+
+
+def _power(M: Entries, k: int) -> Entries:
+    """M^k for k >= 1 by square-and-multiply; M itself when k = 1."""
+    result = None
+    while True:
         if k & 1:
-            result = base @ result
-        base = base @ base
+            result = M if result is None else _mul(M, result)
         k >>= 1
-    return result
+        if not k:
+            return result
+        M = _mul(M, M)
+
+
+def _levels(spec: ModelSpec, energies: np.ndarray) -> Iterator[Entries]:
+    """M(-1), M(0), M(1), ... over an energy array; only two levels stay live."""
+    energies = np.asarray(energies, dtype=float)
+    f = spec.potential
+    words = level_words_prime(spec, 1)
+    yield _word_entries(energies, words[0], f)
+    prev = _word_entries(energies, words[1], f)
+    yield prev
+    cur = _word_entries(energies, words[2], f)
+    for n in itertools.count(2):
+        yield cur
+        prev, cur = cur, _mul(prev, _power(cur, spec.cf.coefficient(n)))
 
 
 def level_matrices_many(spec: ModelSpec, energies: np.ndarray, n_max: int) -> List[np.ndarray]:
     """level_matrices over an energy array; each entry has shape (K, 2, 2)."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    energies = np.asarray(energies, dtype=float)
-    primes = level_words_prime(spec, 1)
-    f = spec.potential
-    mats = [
-        _word_matrix_stack(energies, primes[0], f),
-        _word_matrix_stack(energies, primes[1], f),
-        _word_matrix_stack(energies, primes[2], f),
-    ]
-    for n in range(2, n_max + 1):
-        a_n = spec.cf.coefficient(n)
-        mats.append(mats[n - 1] @ _stack_power(mats[n], a_n))
-    return mats
+    return [_stack(m) for m in itertools.islice(_levels(spec, energies), n_max + 2)]
 
 
 def initial_triple_many(spec: ModelSpec, energies: np.ndarray
                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    mats = level_matrices_many(spec, energies, 1)
-    m0, m1 = mats[1], mats[2]
-    x = 0.5 * (m0[:, 0, 0] + m0[:, 1, 1])
-    y = 0.5 * (m1[:, 0, 0] + m1[:, 1, 1])
-    prod = m1 @ m0
-    z = 0.5 * (prod[:, 0, 0] + prod[:, 1, 1])
-    return x, y, z
+    _, m0, m1 = itertools.islice(_levels(spec, energies), 3)
+    prod = _mul(m1, m0)
+    return 0.5 * (m0[0] + m0[3]), 0.5 * (m1[0] + m1[3]), 0.5 * (prod[0] + prod[3])
 
 
 def half_traces_many(spec: ModelSpec, energies: np.ndarray, n: int) -> np.ndarray:
     """y_E(n) = tr(M_E(n)) / 2 over an energy array."""
-    mats = level_matrices_many(spec, energies, max(n, 1))
-    M = mats[n + 1]
-    return 0.5 * (M[:, 0, 0] + M[:, 1, 1])
+    m11, _, _, m22 = next(itertools.islice(_levels(spec, energies), n + 1, None))
+    return 0.5 * (m11 + m22)
 
 
 # ---------------------------------------------------------------------------

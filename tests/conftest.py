@@ -71,3 +71,11 @@ def prefix_spec(fib_cf):
     """Golden-mean model with a transient head that no tail factor matches."""
     return ModelSpec(fib_cf, Substitution.identity(),
                      Word.from_str("bb", ("a", "b")), {"a": 2.0, "b": 0.0})
+
+
+@pytest.fixture(scope="session")
+def digits_spec():
+    """Sturmian potential with coefficients (3, 1, 4, 1, 5, 9, 1, 1, ...): the
+    level recursion needs odd and even powers M(n-1)^{a_n} as well as a_n = 1."""
+    return ModelSpec(ContinuedFraction((3, 1, 4, 1, 5, 9), (1,)), Substitution.identity(),
+                     Word.from_str("", ("a", "b")), {"a": 1.5, "b": 0.0})

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -16,6 +17,13 @@ FIB_MODEL = {
     "substitution": {"a": "a", "b": "b"},
     "prefix": "",
     "potential": {"a": 2.0, "b": 0.0},
+}
+
+DIGITS_MODEL = {
+    "cf": {"coeffs": [3, 1, 4, 1, 5, 9, 2, 6], "periodic": [1]},
+    "substitution": {"a": "a", "b": "b"},
+    "prefix": "",
+    "potential": {"a": 1.5, "b": 0.0},
 }
 
 FREE_MODEL = {
@@ -91,6 +99,18 @@ def test_bands_free_model(free_path, capsys):
     assert code == 0
     lo, hi = map(float, out.splitlines()[-1].split(","))
     assert abs(lo + 2.0) < 1e-8 and abs(hi - 2.0) < 1e-8
+
+
+def test_bands_emit_no_runtime_warning(fib_path, tmp_path, capsys):
+    # Off-spectrum level products overflow; the band test must absorb that
+    # rather than let numpy warn on the terminal.
+    digits_path = tmp_path / "digits.json"
+    digits_path.write_text(json.dumps(DIGITS_MODEL))
+    for path, level in ((str(digits_path), "6"), (fib_path, "14")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run(["bands", path, "--level", level], capsys)
+        assert code == 0, err
 
 
 def test_lyapunov_output_grid(free_path, capsys):

@@ -1,6 +1,8 @@
 """Band spectra, stable-set sweeps, finite eigenvalues, measure reports."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +80,48 @@ def test_bands_nested_measure_decreases(fib_spec):
     rows = measure_report(fib_spec, range(3, 9))
     measures = [r.total_measure for r in rows]
     assert all(m2 <= m1 + 1e-9 for m1, m2 in zip(measures, measures[1:]))
+
+
+def _floquet_edges(values):
+    """Periodic and antiperiodic eigenvalues of the one-period matrix: the
+    energies where the discriminant is +2 or -2, which hold every band edge."""
+    p = len(values)
+    edges = []
+    for sign in (1.0, -1.0):
+        H = np.diag(values) + np.diag(np.ones(p - 1), 1) + np.diag(np.ones(p - 1), -1)
+        H[0, p - 1] += sign
+        H[p - 1, 0] += sign
+        edges.append(np.linalg.eigvalsh(H))
+    return np.sort(np.concatenate(edges))
+
+
+@pytest.mark.parametrize("model,n_max", [("fib_spec", 12), ("q5_spec", 8),
+                                         ("cf2_spec", 8), ("prefix_spec", 10)])
+def test_band_edges_are_floquet_eigenvalues(model, n_max, request):
+    from qsturm.words import level_words_prime
+    spec = request.getfixturevalue(model)
+    for n in range(1, n_max + 1):
+        word = level_words_prime(spec, n)[n + 1]
+        oracle = _floquet_edges(spec.potential_values(word))
+        edges = np.array(periodic_bands(spec, n).bands).ravel()
+        nearest = np.abs(edges[:, None] - oracle[None, :]).min(axis=1)
+        assert nearest.max() <= 1e-9, (model, n)
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "q5", "digits", "prefixed"])
+def test_doubled_grid_contains_the_coarse_grid(name):
+    # periodic_bands evaluates only the new points when it doubles its grid.
+    from qsturm.words import level_words_prime
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "models" / f"{name}.json"
+    spec = ModelSpec.from_json(json.loads(path.read_text()))
+    lo, hi = energy_window(spec)
+    n_max = 10 if name == "digits" else 14
+    for word in level_words_prime(spec, n_max)[2:]:
+        seed = max(8 * len(word), 1024)
+        for retry in range(4):
+            N = seed << retry
+            coarse = np.linspace(lo, hi, N + 1)
+            assert np.array_equal(np.linspace(lo, hi, 2 * N + 1)[::2], coarse), (name, N)
 
 
 def test_bad_arguments(fib_spec):
