@@ -110,6 +110,17 @@ def _cmd_decompose(spec, args, out: Output):
     out.row(theta)
 
 
+_EPS = sys.float_info.epsilon
+
+
+def _invariant_cell(t) -> float | str:
+    """The invariant of a triple, or "unreliable" once the rounding error of
+    its terms, about eps max(|x|, |y|, |z|)^3, reaches its size."""
+    inv = invariant(t)
+    big = max(abs(t.x), abs(t.y), abs(t.z))
+    return inv if _EPS * big * big * big < abs(inv) else "unreliable"
+
+
 def _cmd_tracemap(spec, args, out: Output):
     orbit = orbit_trace(spec, args.energy, args.levels)
     verdict = classify_orbit(spec, args.energy, args.levels)
@@ -121,7 +132,7 @@ def _cmd_tracemap(spec, args, out: Output):
     }
     out.header(["level", "x", "y", "z", "invariant", "in_escape"])
     for n, t in enumerate(orbit, start=1):
-        out.row(str(n), t.x, t.y, t.z, invariant(t), str(in_escape(t)).lower())
+        out.row(str(n), t.x, t.y, t.z, _invariant_cell(t), str(in_escape(t)).lower())
 
 
 def _cmd_bands(spec, args, out: Output):

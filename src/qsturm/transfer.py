@@ -135,6 +135,19 @@ def _spectral_norms(m11, m12, m21, m22):
     return np.sqrt(np.maximum(0.5 * (t + np.sqrt(disc)), 0.0))
 
 
+def _recur(rows: List[np.ndarray], d) -> None:
+    """Three-term recursion x_{k+1} = d_k x_k - x_{k-1} on lanes.
+
+    rows[0] and rows[1] hold x_{-1} and x_0; rows[k + 2] receives x_{k+1}
+    for each d_k in d, with d_k broadcast against the lanes. Two in-place
+    ufunc calls per site, so the arithmetic is that of d * x - x_prev.
+    """
+    mul, sub = np.multiply, np.subtract
+    for dk, prev, cur, nxt in zip(d, rows, rows[1:], rows[2:]):
+        mul(dk, cur, out=nxt)
+        sub(nxt, prev, out=nxt)
+
+
 def lyapunov_many(spec: ModelSpec, energies: np.ndarray, L: int, shift: int = 0) -> np.ndarray:
     """(1/L) ln ||M_E(L)|| (spectral norm) over an energy array, renormalizing
     by the largest entry every 64 steps to avoid overflow.
@@ -143,23 +156,32 @@ def lyapunov_many(spec: ModelSpec, energies: np.ndarray, L: int, shift: int = 0)
         raise ValueError("lyapunov requires L >= 1000")
     energies = np.asarray(energies, dtype=float)
     v = spec.potential_values(qs_prefix(spec, L, shift=shift))
+    C = _RENORM_EVERY
     K = len(energies)
-    m11 = np.ones(K)
-    m12 = np.zeros(K)
-    m21 = np.zeros(K)
-    m22 = np.ones(K)
+    # Lanes :K run the chain (m21, m11) and lanes K: the chain (m22, m12):
+    # row k of a chunk holds (m11, m12) after k - 1 of its sites, and rows
+    # 0 and 1 start as (m21, m22) and (m11, m12).
+    buf = np.empty((C + 2, 2 * K))
+    buf[0, :K], buf[0, K:] = 0.0, 1.0
+    buf[1, :K], buf[1, K:] = 1.0, 0.0
+    rows = list(buf)
+    lanes = np.concatenate((energies, energies))
+    d = np.empty((C, 2 * K))
+    d_rows = list(d)
     logsum = np.zeros(K)
-    for i in range(L):
-        d = energies - v[i]
-        m11, m12, m21, m22 = d * m11 - m21, d * m12 - m22, m11, m12
-        if (i + 1) % _RENORM_EVERY == 0:
-            scale = np.maximum.reduce([np.abs(m11), np.abs(m12), np.abs(m21), np.abs(m22)])
+    for start in range(0, L, C):
+        c = min(C, L - start)
+        np.subtract(lanes, v[start:start + c, None], out=d[:c])
+        _recur(rows, d_rows[:c])
+        end = buf[c:c + 2].reshape(4, K)
+        if c == C:
+            scale = np.abs(end).max(axis=0)
             scale = np.where(scale > 0, scale, 1.0)
-            m11 /= scale
-            m12 /= scale
-            m21 /= scale
-            m22 /= scale
+            np.divide(end, scale, out=buf[:2].reshape(4, K))
             logsum += np.log(scale)
+        else:
+            buf[:2] = buf[c:c + 2]
+    (m21, m22), (m11, m12) = buf[:2].reshape(2, 2, K)
     logsum += np.log(_spectral_norms(m11, m12, m21, m22))
     return logsum / L
 
@@ -260,28 +282,42 @@ def growth_exponents(spec: ModelSpec, E: float, shift: int, L_max: int) -> Growt
     if L_max < 1000:
         raise ValueError("growth_exponents requires L_max >= 1000")
     angles = np.pi * np.arange(_N_ANGLES) / _N_ANGLES
-    phi_prev = np.cos(angles)
-    phi_cur = np.sin(angles)
-    v = spec.potential_values(qs_prefix(spec, L_max + 1, shift=shift))
-    sq_sum = phi_prev**2  # sum over n <= 0
+    d = E - spec.potential_values(qs_prefix(spec, L_max + 1, shift=shift))
     dyadic = [2**j for j in range(3, int(np.log2(L_max)) + 1)]
     if dyadic[-1] != L_max:
         dyadic.append(L_max)
     norms = np.empty((len(dyadic), _N_ANGLES))
+    C = _RENORM_EVERY
+    # For a chunk after site n0, row k of buf holds phi(n0 + k) and row k of
+    # sq the sum of phi(n)^2 over n <= n0 + k.
+    buf = np.empty((C + 2, _N_ANGLES))
+    buf[0] = np.cos(angles)
+    buf[1] = np.sin(angles)
+    rows = list(buf)
+    sq = np.empty((C + 1, _N_ANGLES))
+    sq[0] = buf[0] ** 2
     idx = 0
     escaped = False
-    for n in range(1, L_max + 1):
-        sq_sum = sq_sum + phi_cur**2
-        if idx < len(dyadic) and n == dyadic[idx]:
-            norms[idx] = np.sqrt(sq_sum)
-            idx += 1
-        nxt = (E - v[n - 1]) * phi_cur - phi_prev
-        phi_prev, phi_cur = phi_cur, nxt
-        if np.max(np.abs(phi_cur)) > _ESCAPE_MAGNITUDE:
-            escaped = True
-            norms = norms[:idx]
-            dyadic = dyadic[:idx]
-            break
+    # Sites after an escape within a chunk may overflow; they are discarded.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n0 in range(0, L_max, C):
+            c = min(C, L_max - n0)
+            _recur(rows, d[n0:n0 + c].tolist())
+            np.square(buf[1:c + 1], out=sq[1:c + 1])
+            np.add.accumulate(sq[:c + 1], axis=0, out=sq[:c + 1])
+            # phi(n + 1) past the escape magnitude ends the scan after site n
+            big = np.abs(buf[2:c + 2]).max(axis=1) > _ESCAPE_MAGNITUDE
+            escaped = bool(big.any())
+            last = n0 + (int(np.argmax(big)) + 1 if escaped else c)
+            while idx < len(dyadic) and dyadic[idx] <= last:
+                norms[idx] = np.sqrt(sq[dyadic[idx] - n0])
+                idx += 1
+            if escaped:
+                norms = norms[:idx]
+                dyadic = dyadic[:idx]
+                break
+            buf[:2] = buf[c:c + 2]
+            sq[0] = sq[c]
     if len(dyadic) < 4:
         raise DegenerateFit("not enough dyadic scales before blow-up")
     lnL = np.log(np.asarray(dyadic, dtype=float))

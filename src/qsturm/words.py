@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -443,10 +443,25 @@ def palindrome_split(s_n: Word, n: int, strict_parity: bool = False) -> Tuple[Wo
 # ---------------------------------------------------------------------------
 # Gordon square search
 
-def _rotations(wb: bytes) -> set:
-    ell = len(wb)
-    doubled = wb + wb
-    return {doubled[i:i + ell] for i in range(ell)}
+def _square_sites(u: Word, ub: bytes, block: Word, window: int) -> np.ndarray:
+    """Mask of the sites m < window where u[m:m+2l] = ww, with w a cyclic
+    conjugate of block and l = |block|.
+
+    ww starts at m when u[i] = u[i+l] for the l sites i = m..m+l-1: one
+    window sum over a cumulative count. The square sites of one run are
+    rotations of each other, so conjugacy is tested once per run.
+    """
+    ell = len(block)
+    codes = u.codes
+    same = codes[:window + ell - 1] == codes[ell:window + 2 * ell - 1]
+    counts = np.concatenate(([0], np.cumsum(same)))
+    hit = counts[ell:ell + window] - counts[:window] == ell
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], hit.view(np.int8), [0]))))
+    doubled = block.recode(u.alphabet).to_bytes() * 2
+    for lo, hi in zip(edges[::2].tolist(), edges[1::2].tolist()):
+        if ub[lo:lo + ell] not in doubled:
+            hit[lo:hi] = False
+    return hit
 
 
 def find_squares(spec: ModelSpec, shift: int, n_max: int,
@@ -455,7 +470,8 @@ def find_squares(spec: ModelSpec, shift: int, n_max: int,
     (composite), one per level n = 2..n_max, all starting at a common site m.
 
     Positions are indices into the shifted sequence. Raises NoCommonSite if
-    the bounded scan window holds no site shared by all levels.
+    the bounded scan window holds no site shared by all levels. A site with
+    both kinds reports the single one.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
@@ -466,27 +482,15 @@ def find_squares(spec: ModelSpec, shift: int, n_max: int,
     u = qs_prefix(spec, scan_len, shift=shift, max_length=max_length)
     ub = u.to_bytes()
 
-    per_level: List[Dict[int, str]] = []
+    single = []
+    common = np.ones(window, dtype=bool)
     for n in range(2, n_max + 1):
-        sn = primes[n + 1]
-        found: Dict[int, str] = {}
-        for kind, block in (("single", sn), ("composite", sn + primes[n])):
-            ell = len(block)
-            rots = _rotations(block.recode(u.alphabet).to_bytes())
-            for m in range(window):
-                if m in found:
-                    continue
-                cand = ub[m:m + ell]
-                if cand == ub[m + ell:m + 2 * ell] and cand in rots:
-                    found[m] = kind
-        per_level.append(found)
-
-    common = set(per_level[0])
-    for found in per_level[1:]:
-        common &= set(found)
-    if not common:
+        s = _square_sites(u, ub, primes[n + 1], window)
+        common &= s | _square_sites(u, ub, primes[n + 1] + primes[n], window)
+        single.append(s)
+    if not common.any():
         raise NoCommonSite(
             f"no common square site for levels 2..{n_max} within window {window}; enlarge and retry"
         )
-    m = min(common)
-    return [(m, n, per_level[n - 2][m]) for n in range(2, n_max + 1)]
+    m = int(np.argmax(common))
+    return [(m, n, "single" if s[m] else "composite") for n, s in enumerate(single, start=2)]

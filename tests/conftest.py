@@ -1,5 +1,8 @@
 """Shared fixtures and the acceptance-summary reporter."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from qsturm import ModelSpec, Substitution, Word
@@ -79,3 +82,13 @@ def digits_spec():
     level recursion needs odd and even powers M(n-1)^{a_n} as well as a_n = 1."""
     return ModelSpec(ContinuedFraction((3, 1, 4, 1, 5, 9), (1,)), Substitution.identity(),
                      Word.from_str("", ("a", "b")), {"a": 1.5, "b": 0.0})
+
+
+BENCH_MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "models"
+
+
+@pytest.fixture(scope="session")
+def bench_specs():
+    """The four benchmark models of perfbench/models, by name."""
+    return {p.stem: ModelSpec.from_json(json.loads(p.read_text()))
+            for p in sorted(BENCH_MODELS.glob("*.json"))}

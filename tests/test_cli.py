@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +34,16 @@ FREE_MODEL = {
     "potential": {"a": 0.0, "b": 0.0},
     "allow_non_injective": True,
 }
+
+
+BENCH_MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "models"
+# A band centre of each benchmark model's pool approximant, as the benchmark
+# picks them, and energies off the spectrum whose solutions escape.
+BENCH_CENTRES = {"fibonacci": 1.4525087579781024, "q5": 1.2990887900586154,
+                 "digits": 0.37894771296405877, "prefixed": 0.6357801009742721}
+# At fibonacci E = 20 the sites after the escape overflow within its chunk.
+ESCAPING = {"fibonacci": [10.0, 20.0, 50.0], "q5": [0.5, -1.376], "digits": [5.0], "prefixed": [4.0]}
+GORDON_NMAX = {"fibonacci": (10, 12), "q5": (10, 12), "digits": (6,), "prefixed": (10,)}
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +122,37 @@ def test_bands_emit_no_runtime_warning(fib_path, tmp_path, capsys):
             warnings.simplefilter("error", RuntimeWarning)
             code, _, err = run(["bands", path, "--level", level], capsys)
         assert code == 0, err
+
+
+def test_tracemap_marks_unreliable_invariant(capsys):
+    # On the escaping q5 orbit at E = 3.3 the invariant is cancellation from
+    # level 5 on (383, 17592186044415, -1, nan when printed as a value).
+    code, out, _ = run(["tracemap", str(BENCH_MODELS / "q5.json"), "--energy", "3.3"], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()
+            if line and not line.startswith(("#", "level"))]
+    assert len(rows) == 30 and all(len(r) == 6 for r in rows)
+    assert [r[4] for r in rows[:4]] == ["336.93118348905517", "336.931183489055",
+                                        "336.93118348903954", "336.93118286132812"]
+    assert all(r[4] == "unreliable" for r in rows[4:])
+
+
+@pytest.mark.parametrize("model", sorted(BENCH_CENTRES))
+def test_transport_commands_emit_no_runtime_warning(model, capsys):
+    path = str(BENCH_MODELS / f"{model}.json")
+    E = repr(BENCH_CENTRES[model])
+    argvs = [["lyapunov", path, "--length", "10000"],
+             ["lyapunov", path, "--length", "1234", "--shift", "97", "--grid", "1"]]
+    argvs += [["alpha", path, "--energy", repr(e), "--lmax", "30000"]
+              for e in [BENCH_CENTRES[model]] + ESCAPING[model]]
+    argvs += [["gordon", path, "--energy", E, "--nmax", str(n), "--shift", str(shift)]
+              for n in GORDON_NMAX[model] for shift in (0, 97)]
+    for argv in argvs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run(argv, capsys)
+        # fibonacci at E = 50 escapes before four dyadic scales
+        assert code == 0 or err.startswith("error: DegenerateFit"), (argv, err)
 
 
 def test_lyapunov_output_grid(free_path, capsys):

@@ -1,13 +1,19 @@
 """Transfer matrices, Lyapunov estimates, solutions, Gordon residuals."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsturm.errors import DegenerateFit, OutOfRange, ZeroInitialCondition
+from qsturm.spectrum import energy_window
 from qsturm.transfer import (
     GordonResult,
+    GrowthExponents,
+    _spectral_norms,
     gordon_residual,
     growth_exponents,
     half_traces_many,
@@ -133,6 +139,53 @@ def test_lyapunov_requires_long_product(fib_spec):
         lyapunov(fib_spec, 0.0, 100)
 
 
+def _lyapunov_sites(spec, energies, L, shift=0):
+    """Oracle: the per-site loop lyapunov_many ran before the lane kernel."""
+    energies = np.asarray(energies, dtype=float)
+    v = spec.potential_values(qs_prefix(spec, L, shift=shift))
+    K = len(energies)
+    m11 = np.ones(K)
+    m12 = np.zeros(K)
+    m21 = np.zeros(K)
+    m22 = np.ones(K)
+    logsum = np.zeros(K)
+    for i in range(L):
+        d = energies - v[i]
+        m11, m12, m21, m22 = d * m11 - m21, d * m12 - m22, m11, m12
+        if (i + 1) % 64 == 0:
+            scale = np.maximum.reduce([np.abs(m11), np.abs(m12), np.abs(m21), np.abs(m22)])
+            scale = np.where(scale > 0, scale, 1.0)
+            m11 /= scale
+            m12 /= scale
+            m21 /= scale
+            m22 /= scale
+            logsum += np.log(scale)
+    logsum += np.log(_spectral_norms(m11, m12, m21, m22))
+    return logsum / L
+
+
+@given(model=st.sampled_from(["fibonacci", "q5", "digits", "prefixed"]),
+       L=st.integers(min_value=1000, max_value=5000).filter(lambda L: L % 64),
+       shift=st.integers(min_value=0, max_value=1000),
+       grid=st.sampled_from([1, 200]))
+@settings(max_examples=16, deadline=None)
+def test_lyapunov_many_matches_site_loop(bench_specs, model, L, shift, grid):
+    # bit for bit, on the energy grid of the lyapunov command
+    spec = bench_specs[model]
+    energies = np.linspace(*energy_window(spec), grid)
+    got = lyapunov_many(spec, energies, L, shift=shift)
+    assert got.tobytes() == _lyapunov_sites(spec, energies, L, shift).tobytes()
+
+
+@pytest.mark.parametrize("L", [1024, 1088, 1089])
+def test_lyapunov_many_matches_site_loop_at_chunk_ends(bench_specs, L):
+    # L a multiple of 64 renormalizes after the last site; one more does not
+    energies = np.array([-1.7, 0.0, 0.3, 2.9, 6.0])
+    got = lyapunov_many(bench_specs["q5"], energies, L, shift=5)
+    assert got.tobytes() == _lyapunov_sites(bench_specs["q5"], energies, L, 5).tobytes()
+    assert lyapunov_many(bench_specs["q5"], energies[:0], L).shape == (0,)
+
+
 # ------------------------------------------------------------------ solutions
 
 def test_solve_matches_transfer_matrix(fib_spec):
@@ -186,3 +239,68 @@ def test_growth_exponents_off_spectrum_escapes(fib_spec):
 def test_growth_exponents_guard(fib_spec):
     with pytest.raises(ValueError):
         growth_exponents(fib_spec, 0.0, 0, 100)
+
+
+def _growth_sites(spec, E, shift, L_max):
+    """Oracle: the per-site loop growth_exponents ran before the lane kernel."""
+    angles = np.pi * np.arange(32) / 32
+    phi_prev = np.cos(angles)
+    phi_cur = np.sin(angles)
+    v = spec.potential_values(qs_prefix(spec, L_max + 1, shift=shift))
+    sq_sum = phi_prev**2  # sum over n <= 0
+    dyadic = [2**j for j in range(3, int(np.log2(L_max)) + 1)]
+    if dyadic[-1] != L_max:
+        dyadic.append(L_max)
+    norms = np.empty((len(dyadic), 32))
+    idx = 0
+    escaped = False
+    for n in range(1, L_max + 1):
+        sq_sum = sq_sum + phi_cur**2
+        if idx < len(dyadic) and n == dyadic[idx]:
+            norms[idx] = np.sqrt(sq_sum)
+            idx += 1
+        nxt = (E - v[n - 1]) * phi_cur - phi_prev
+        phi_prev, phi_cur = phi_cur, nxt
+        if np.max(np.abs(phi_cur)) > 1e100:
+            escaped = True
+            norms = norms[:idx]
+            dyadic = dyadic[:idx]
+            break
+    if len(dyadic) < 4:
+        raise DegenerateFit("not enough dyadic scales before blow-up")
+    lnL = np.log(np.asarray(dyadic, dtype=float))
+    slopes = np.polyfit(lnL, np.log(norms), 1)[0]
+    gamma1 = float(np.min(slopes))
+    gamma2 = float(np.max(slopes))
+    if gamma1 + gamma2 <= 0.0 or not np.isfinite(gamma1 + gamma2):
+        raise DegenerateFit(f"non-positive slope span: gamma1={gamma1}, gamma2={gamma2}")
+    return GrowthExponents(gamma1, gamma2, 2.0 * gamma1 / (gamma1 + gamma2), escaped)
+
+
+@pytest.mark.parametrize("model,E,L_max,escapes", [
+    # band centres of sigma_12, sigma_8, sigma_5 and sigma_10
+    ("fibonacci", 1.4525087579781024, 3001, False),
+    ("q5", 1.2990887900586154, 10_000, False),
+    ("digits", 0.37894771296405877, 4097, False),
+    ("prefixed", 0.6357801009742721, 5000, False),
+    ("fibonacci", 10.0, 100_000, True),
+    ("q5", 0.5, 30_000, True),
+    ("q5", -1.376, 30_000, True),
+    ("fibonacci", 20.0, 1000, True),  # escapes in the second chunk, after 4 scales
+    ("fibonacci", 7.60725, 1000, True),  # phi(128) escapes: scale 128 is not kept
+], ids=lambda x: str(x))
+def test_growth_exponents_match_site_loop(bench_specs, model, E, L_max, escapes):
+    spec = bench_specs[model]
+    for shift in (0, 97):
+        want = _growth_sites(spec, E, shift, L_max)
+        assert growth_exponents(spec, E, shift, L_max) == want
+        assert want.escaped == escapes
+
+
+def test_growth_exponents_degenerate_fit_matches_site_loop(bench_specs):
+    # |phi| passes 1e100 before the fourth dyadic scale
+    spec = bench_specs["fibonacci"]
+    with pytest.raises(DegenerateFit) as want:
+        _growth_sites(spec, 50.0, 0, 1000)
+    with pytest.raises(DegenerateFit, match=re.escape(str(want.value))):
+        growth_exponents(spec, 50.0, 0, 1000)

@@ -1,5 +1,7 @@
 """Words, substitutions, level words, complexity, palindromes, squares."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,11 +10,13 @@ from hypothesis import strategies as st
 from qsturm.contfrac import ContinuedFraction, approximants
 from qsturm.errors import (
     LengthBudgetExceeded,
+    NoCommonSite,
     NotPalindromicDecomposition,
     SymbolOutsideDomain,
     WindowTooLarge,
 )
 from qsturm.words import (
+    DEFAULT_LENGTH_BUDGET,
     ModelSpec,
     Substitution,
     Word,
@@ -291,3 +295,67 @@ def test_find_squares_fibonacci(fib_spec):
 def test_find_squares_rejects_bad_level(fib_spec):
     with pytest.raises(ValueError):
         find_squares(fib_spec, 0, 1)
+
+
+def _rotations(wb: bytes) -> set:
+    ell = len(wb)
+    doubled = wb + wb
+    return {doubled[i:i + ell] for i in range(ell)}
+
+
+def _find_squares_scan(spec, shift, n_max, max_length=DEFAULT_LENGTH_BUDGET):
+    """Oracle: the per-site scan find_squares ran before the linear one."""
+    if n_max < 2:
+        raise ValueError("n_max must be >= 2")
+    primes = level_words_prime(spec, n_max, max_length=max_length)
+    ell_max = len(primes[n_max + 1]) + len(primes[n_max])
+    window = 4 * len(primes[n_max + 1])
+    scan_len = window + 2 * ell_max + 1
+    u = qs_prefix(spec, scan_len, shift=shift, max_length=max_length)
+    ub = u.to_bytes()
+
+    per_level = []
+    for n in range(2, n_max + 1):
+        sn = primes[n + 1]
+        found = {}
+        for kind, block in (("single", sn), ("composite", sn + primes[n])):
+            ell = len(block)
+            rots = _rotations(block.recode(u.alphabet).to_bytes())
+            for m in range(window):
+                if m in found:
+                    continue
+                cand = ub[m:m + ell]
+                if cand == ub[m + ell:m + 2 * ell] and cand in rots:
+                    found[m] = kind
+        per_level.append(found)
+
+    common = set(per_level[0])
+    for found in per_level[1:]:
+        common &= set(found)
+    if not common:
+        raise NoCommonSite(
+            f"no common square site for levels 2..{n_max} within window {window}; enlarge and retry"
+        )
+    m = min(common)
+    return [(m, n, per_level[n - 2][m]) for n in range(2, n_max + 1)]
+
+
+@pytest.mark.parametrize("shift", [0, 97, 500])
+@pytest.mark.parametrize("model", ["fibonacci", "q5", "digits", "prefixed"])
+def test_find_squares_matches_scan(bench_specs, model, shift):
+    spec = bench_specs[model]
+    for n_max in range(2, (8 if model == "digits" else 12) + 1):
+        assert find_squares(spec, shift, n_max) == _find_squares_scan(spec, shift, n_max)
+
+
+def test_find_squares_no_common_site_matches_scan(bench_specs):
+    # A head of 100 equal symbols holds no square of a word with both
+    # symbols, and the scan window at n_max <= 3 ends inside it.
+    spec = bench_specs["prefixed"]
+    spec = ModelSpec(spec.cf, spec.subst, Word.from_str("1" * 100, ("0", "1")), spec.potential)
+    for n_max in (2, 3):
+        with pytest.raises(NoCommonSite) as want:
+            _find_squares_scan(spec, 0, n_max)
+        with pytest.raises(NoCommonSite, match=re.escape(str(want.value))):
+            find_squares(spec, 0, n_max)
+    assert find_squares(spec, 100, 3) == _find_squares_scan(spec, 100, 3)
