@@ -171,12 +171,17 @@ def _cmd_lyapunov(spec, args, out: Output):
         out.row(e, g)
 
 
+def _finite_cell(x: float) -> float | str:
+    """x, or "unreliable" where its computation overflowed to inf or nan."""
+    return x if np.isfinite(x) else "unreliable"
+
+
 def _cmd_gordon(spec, args, out: Output):
     squares = find_squares(spec, args.shift, args.nmax)
     out.header(["m", "n", "kind", "residual", "trace"])
     for sq in squares:
         res = gordon_residual(spec, args.energy, sq, shift=args.shift)
-        out.row(str(sq[0]), str(sq[1]), sq[2], res.residual, res.trace)
+        out.row(str(sq[0]), str(sq[1]), sq[2], _finite_cell(res.residual), _finite_cell(res.trace))
 
 
 def _cmd_alpha(spec, args, out: Output):

@@ -1,6 +1,12 @@
 """Spectrum approximation: periodic-approximant band spectra, stable-set
 sweeps via trace-map classification, measure statistics, and the
-eigenvalues of finite tridiagonal truncations (LAPACK, through scipy).
+eigenvalues of finite tridiagonal truncations.
+
+The eigenvalues come from Sturm counts (Barth, Martin and Wilkinson 1967)
+run on the transfer lane kernel, numpy only: every eigenvalue is bracketed
+by counts, bisected until its bracket holds it alone, then refined by
+count-checked regula falsi steps to 2^-40 of its Gershgorin window (about
+3e-12 at the benchmark models' 500 and 2,000 sites, against dense eigvalsh).
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import numpy as np
 
 from .errors import GridTooCoarse
 from .tracemap import classify_many
-from .transfer import half_traces_many
+from .transfer import half_traces_many, sturm_counts
 from .words import ModelSpec, level_words_prime, qs_prefix
 
 ENERGY_MARGIN = 0.5
@@ -192,12 +198,88 @@ def finite_eigenvalues(spec: ModelSpec, shift: int, size: int) -> np.ndarray:
     """
     if size < 2:
         raise ValueError("size must be >= 2")
-    # Imported here: at module level scipy would add a quarter second to
-    # every CLI call, since the CLI imports this module.
-    from scipy.linalg import eigvalsh_tridiagonal
+    return tridiagonal_eigenvalues(spec.potential_values(qs_prefix(spec, size, shift=shift)))
 
-    diag = spec.potential_values(qs_prefix(spec, size, shift=shift))
-    return eigvalsh_tridiagonal(diag, np.ones(size - 1))
+
+# An eigenvalue is final once its certified bracket is this narrow, relative
+# to the Gershgorin window it was searched in.
+_EIGEN_RTOL = 2.0 ** -40
+_LN2 = float(np.log(2.0))
+
+
+def tridiagonal_eigenvalues(diag: np.ndarray) -> np.ndarray:
+    """All eigenvalues, ascending, of the symmetric tridiagonal matrix with
+    the given diagonal and unit off-diagonals. Each lies within half of
+    2^-40 times the width of the search window (Gershgorin's, widened by
+    ENERGY_MARGIN) of an eigenvalue, up to the rounding of the counts.
+
+    Eigenvalue k is kept in a bracket [lo, hi] with count(lo) <= k <
+    count(hi), where count is the Sturm count of sturm_counts. One sweep
+    over n + 1 evenly spaced energies seeds every bracket; then each round
+    evaluates one trial energy per unfinished eigenvalue and tightens every
+    bracket from all the counts of the round. The trial is the bracket
+    midpoint, or a regula falsi step on ln|det(E - T)| (Illinois variant:
+    the end kept twice in a row has its value halved) once the bracket
+    holds one eigenvalue and lies at least its own width from the brackets
+    of both neighbours. A bracket that three such steps have not halved is
+    bisected. The result is certified by counts alone.
+    """
+    v = np.asarray(diag, dtype=float)
+    n = len(v)
+    lo_w = float(v.min()) - 2.0 - ENERGY_MARGIN
+    hi_w = float(v.max()) + 2.0 + ENERGY_MARGIN
+    tol = (hi_w - lo_w) * _EIGEN_RTOL
+    k = np.arange(n)
+    lo, hi = np.full(n, lo_w), np.full(n, hi_w)
+    c_lo, c_hi = np.zeros(n, dtype=np.intp), np.full(n, n, dtype=np.intp)
+    # ln|det(E - T)| at the bracket ends; Illinois halvings subtract ln 2
+    f_lo, f_hi = np.full(n, np.nan), np.full(n, np.nan)
+    moved = np.zeros(n, dtype=np.int8)  # +1 lo alone moved last round, -1 hi alone
+    stale = np.zeros(n, dtype=np.int8)  # rounds since the bracket last halved
+    last_halved = hi - lo
+    act = k
+    trials = np.linspace(lo_w, hi_w, n + 1)
+    while True:
+        counts, log_det = sturm_counts(v, trials)
+        L, H = lo[act], hi[act]
+        # Last trial with every count up to it <= k, first with every count
+        # from it on > k: both hold even where rounding breaks monotonicity.
+        up = np.maximum.accumulate(counts)
+        down = np.minimum.accumulate(counts[::-1])[::-1]
+        i = np.searchsorted(up, k[act], side="right") - 1
+        j = np.searchsorted(down, k[act], side="right")
+        ic, jc = np.maximum(i, 0), np.minimum(j, len(trials) - 1)
+        new_lo = (i >= 0) & (trials[ic] >= L) & (trials[ic] < H)
+        new_hi = (j < len(trials)) & (trials[jc] <= H) & (trials[jc] > L)
+        lo[act] = np.where(new_lo, trials[ic], L)
+        hi[act] = np.where(new_hi, trials[jc], H)
+        c_lo[act] = np.where(new_lo, counts[ic], c_lo[act])
+        c_hi[act] = np.where(new_hi, counts[jc], c_hi[act])
+        side = np.where(new_lo & ~new_hi, 1, np.where(new_hi & ~new_lo, -1, 0)).astype(np.int8)
+        again = (side != 0) & (side == moved[act])
+        f_lo[act] = np.where(new_lo, log_det[ic], f_lo[act] - _LN2 * (again & (side < 0)))
+        f_hi[act] = np.where(new_hi, log_det[jc], f_hi[act] - _LN2 * (again & (side > 0)))
+        moved[act] = side
+        w = hi[act] - lo[act]
+        halved = w <= 0.5 * last_halved[act]
+        last_halved[act] = np.where(halved, w, last_halved[act])
+        stale[act] = np.where(halved, 0, np.minimum(stale[act] + 1, 3))
+        mid = 0.5 * (lo[act] + hi[act])
+        act = act[(w > tol) & (mid > lo[act]) & (mid < hi[act])]
+        if not act.size:
+            return np.sort(0.5 * (lo + hi))
+        L, H = lo[act], hi[act]
+        w = H - L
+        below = np.concatenate(([-np.inf], hi[:-1]))[act]
+        above = np.concatenate((lo[1:], [np.inf]))[act]
+        with np.errstate(invalid="ignore"):
+            df = f_hi[act] - f_lo[act]
+            s = np.exp(-np.abs(df))
+            step = w * s / (1.0 + s)
+            falsi = np.where(df >= 0, L + step, H - step)
+            usable = ((c_hi[act] - c_lo[act] == 1) & (stale[act] < 3)
+                      & (L - below >= w) & (above - H >= w) & (falsi > L) & (falsi < H))
+        trials = np.unique(np.where(usable, falsi, 0.5 * (L + H)))
 
 
 @dataclass(frozen=True)

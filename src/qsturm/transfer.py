@@ -1,5 +1,6 @@
-"""Transfer matrices over words and levels, Lyapunov estimates, solution
-propagation, local norms, Gordon residuals, and solution growth exponents.
+"""Transfer matrices over words and levels, Lyapunov estimates, Sturm
+counts of finite truncations, solution propagation, local norms, Gordon
+residuals, and solution growth exponents.
 
 Matrices are plain 2x2 float numpy arrays, or over an energy array four entry
 arrays (m11, m12, m21, m22); products apply the matrix of the FIRST symbol of
@@ -192,6 +193,51 @@ def lyapunov(spec: ModelSpec, E: float, L: int, shift: int = 0) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Sturm counts
+
+def sturm_counts(diag: np.ndarray, energies: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues below each energy of the Jacobi matrix T with diagonal
+    diag and unit off-diagonals, and ln|det(E - T)|.
+
+    The Dirichlet solution x_{k+1} = (E - v_k) x_k - x_{k-1}, x_{-1} = 0,
+    x_0 = 1, gives x_k = det(E - T_k) over the leading k x k blocks; n minus
+    its sign changes counts the eigenvalues below E (Sturm; the oscillation
+    theorem). One lane per energy. A zero inside the sequence adds one
+    change whichever sign it takes, and sign(x_n) is that parity, so the
+    count and the sign of det(E - T) always agree.
+    """
+    v = np.asarray(diag, dtype=float)
+    energies = np.asarray(energies, dtype=float)
+    K = len(energies)
+    # Each site grows max(|x_k|, |x_{k-1}|) by at most 1 + |E - v_k|, and
+    # shrinks it by no more (det = 1), so a chunk of C sites stays within
+    # 2^(+-1000) of its start when C log2(1 + max|E - v|) <= 1000.
+    dmax = float(np.abs(energies).max(initial=0.0) + np.abs(v).max(initial=0.0))
+    C = max(1, min(_RENORM_EVERY, int(1000.0 / np.log2(2.0 + dmax))))
+    buf = np.empty((C + 2, K))
+    buf[0], buf[1] = 0.0, 1.0
+    rows = list(buf)
+    d = np.empty((C, K))
+    d_rows = list(d)
+    changes = np.zeros(K, dtype=np.intp)
+    exponent = np.zeros(K, dtype=np.intp)
+    for start in range(0, len(v), C):
+        c = min(C, len(v) - start)
+        np.subtract(energies, v[start:start + c, None], out=d[:c])
+        _recur(rows, d_rows[:c])
+        # rows 1..c+1 hold x_start..x_{start+c}
+        sign = np.signbit(buf[1:c + 2])
+        changes += np.not_equal(sign[1:], sign[:-1]).view(np.uint8).sum(axis=0, dtype=np.intp)
+        # Rescale by a power of two: exact, and it keeps every sign.
+        _, e = np.frexp(np.maximum(np.abs(buf[c]), np.abs(buf[c + 1])))
+        np.ldexp(buf[c:c + 2], -e, out=buf[:2])
+        exponent += e
+    with np.errstate(divide="ignore"):
+        log_det = np.log(np.abs(buf[1])) + exponent * np.log(2.0)
+    return len(v) - changes, log_det
+
+
+# ---------------------------------------------------------------------------
 # Solutions of the difference equation
 
 @dataclass(frozen=True)
@@ -246,13 +292,16 @@ def gordon_residual(spec: ModelSpec, E: float, square: Tuple[int, int, str], shi
     primes = level_words_prime(spec, n + 1)
     ell = len(primes[n + 1]) + (len(primes[n]) if kind == "composite" else 0)
     block = qs_prefix(spec, ell, shift=shift + m)
-    M = word_matrix(E, block, spec.potential)
-    tr = float(np.trace(M))
-    R = M @ M - tr * M + np.eye(2)
-    residual = max(
-        float(np.linalg.norm(R @ np.array([1.0, 0.0]))),
-        float(np.linalg.norm(R @ np.array([0.0, 1.0]))),
-    )
+    # Off the spectrum the block matrix can overflow; the result is then
+    # inf or nan, which callers read as unreliable.
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = word_matrix(E, block, spec.potential)
+        tr = float(np.trace(M))
+        R = M @ M - tr * M + np.eye(2)
+        residual = max(
+            float(np.linalg.norm(R @ np.array([1.0, 0.0]))),
+            float(np.linalg.norm(R @ np.array([0.0, 1.0]))),
+        )
     return GordonResult(residual, tr)
 
 

@@ -1,6 +1,7 @@
 """Command-line frontend: output shape, determinism, error handling."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -155,6 +156,28 @@ def test_transport_commands_emit_no_runtime_warning(model, capsys):
         assert code == 0 or err.startswith("error: DegenerateFit"), (argv, err)
 
 
+def test_gordon_marks_overflowed_cells(capsys):
+    # Off the spectrum the block matrices overflow at the larger levels; such
+    # cells print "unreliable" (they read inf and nan before), and the finite
+    # cells print as values.
+    cases = {("digits", "8"): {"7": ["unreliable", "1.5928840521929037e+151"],
+                               "8": ["unreliable", "unreliable"]},
+             ("q5", "12"): {"11": ["unreliable", "7.8652510526118505e+87"],
+                            "12": ["unreliable", "1.6569326992531568e+142"]}}
+    for (model, nmax), marked in cases.items():
+        argv = ["gordon", str(BENCH_MODELS / f"{model}.json"), "--energy", "0.1", "--nmax", nmax]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(argv, capsys)
+        assert code == 0, err
+        rows = [line.split(",") for line in out.splitlines()
+                if line and not line.startswith(("#", "m,"))]
+        assert {r[1]: r[3:] for r in rows if "unreliable" in r} == marked
+        finite = [float(c) for r in rows if r[1] not in marked for c in r[3:]]
+        assert finite and all(math.isfinite(c) for c in finite)
+    assert rows[0] == ["0", "2", "composite", "4.5474735088646412e-13", "70.617594491141801"]
+
+
 def test_lyapunov_output_grid(free_path, capsys):
     code, out, _ = run(
         ["lyapunov", free_path, "--grid", "5", "--length", "2000"], capsys)
@@ -228,8 +251,7 @@ def test_invalid_json_errors(tmp_path, capsys):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported only where it is used, so a CLI call does not pay
-    # for it at start-up.
+    # qsturm depends on numpy alone; no CLI call pays for a scipy import.
     src = os.path.dirname(os.path.dirname(qsturm.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, qsturm.cli; assert 'scipy' not in sys.modules, 'scipy imported'"

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,7 @@ from qsturm.spectrum import (
     measure_report,
     periodic_bands,
     stable_set,
+    tridiagonal_eigenvalues,
 )
 from qsturm.words import ModelSpec, Substitution, Word
 
@@ -218,3 +222,50 @@ def test_finite_eigenvalues_match_dense(model, request):
 def test_finite_eigenvalues_guard(fib_spec):
     with pytest.raises(ValueError):
         finite_eigenvalues(fib_spec, 0, 1)
+
+
+def _jacobi(v):
+    n = len(v)
+    return np.diag(v) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+
+
+def test_finite_eigenvalues_match_dense_on_bench_models(bench_specs):
+    from qsturm.words import qs_prefix
+    for name, spec in bench_specs.items():
+        v = spec.potential_values(qs_prefix(spec, 1000, shift=97))
+        lams = finite_eigenvalues(spec, 97, 1000)
+        assert np.all(np.diff(lams) >= 0), name
+        assert np.max(np.abs(lams - np.linalg.eigvalsh(_jacobi(v)))) <= 1e-10, name
+
+
+def test_tridiagonal_eigenvalues_two_by_two_closed_form():
+    for a, b in ((0.0, 0.0), (0.5, -1.25), (3.0, 3.0 + 1e-9), (-7.0, 11.0)):
+        half = math.sqrt(((a - b) / 2) ** 2 + 1.0)
+        want = [(a + b) / 2 - half, (a + b) / 2 + half]
+        # half of 2^-40 times the search window, of width |a - b| + 5
+        tol = 2.0 ** -41 * (abs(a - b) + 5.0) + 1e-14
+        assert tridiagonal_eigenvalues(np.array([a, b])) == pytest.approx(want, abs=tol)
+
+
+@pytest.mark.parametrize("barrier", [4, 8, 12, 16, 30])
+def test_tridiagonal_eigenvalues_double_well(barrier):
+    # Two mirror-image wells: the lowest pair splits by about exp(-1.6 barrier),
+    # from 1e-3 down to far below the bracket width, so the pair is found both
+    # isolated and inside one shared bracket.
+    v = np.array([-1.0] * 10 + [3.0] * barrier + [-1.0] * 10)
+    want = np.linalg.eigvalsh(_jacobi(v))
+    got = tridiagonal_eigenvalues(v)
+    assert np.all(np.diff(got) >= 0)
+    assert np.max(np.abs(got - want)) <= 1e-10
+
+
+def test_finite_eigenvalues_leave_scipy_unloaded():
+    # Eigenvalues are computed with numpy alone.
+    src = Path(__file__).resolve().parents[1] / "src"
+    model = Path(__file__).resolve().parents[1] / "perfbench" / "models" / "fibonacci.json"
+    code = ("import json, sys\n"
+            "from qsturm import ModelSpec, finite_eigenvalues\n"
+            f"spec = ModelSpec.from_json(json.load(open({str(model)!r})))\n"
+            "assert len(finite_eigenvalues(spec, 0, 300)) == 300\n"
+            "assert 'scipy' not in sys.modules, 'scipy imported'\n")
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)), check=True)

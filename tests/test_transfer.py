@@ -26,6 +26,7 @@ from qsturm.transfer import (
     lyapunov,
     lyapunov_many,
     solve,
+    sturm_counts,
     word_matrix,
 )
 from qsturm.words import Word, find_squares, qs_prefix
@@ -304,3 +305,46 @@ def test_growth_exponents_degenerate_fit_matches_site_loop(bench_specs):
         _growth_sites(spec, 50.0, 0, 1000)
     with pytest.raises(DegenerateFit, match=re.escape(str(want.value))):
         growth_exponents(spec, 50.0, 0, 1000)
+
+
+# ---------------------------------------------------------------- Sturm counts
+
+def _jacobi(v):
+    """Dense matrix with diagonal v and unit off-diagonals."""
+    n = len(v)
+    return np.diag(v) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+
+
+@given(values=st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=3),
+       codes=st.lists(st.integers(0, 2), min_size=2, max_size=300),
+       extra=st.lists(st.floats(-7.0, 7.0), max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_sturm_counts_match_dense(values, codes, extra):
+    v = np.array(values)[np.array(codes) % len(values)]
+    lam = np.linalg.eigvalsh(_jacobi(v))
+    x = np.array(values + extra)
+    counts, _ = sturm_counts(v, x)
+    # Equal to the dense count unless an eigenvalue lies within rounding of x:
+    # a diagonal value is an exact eigenvalue of some mirror-symmetric windows.
+    assert np.all(np.searchsorted(lam, x - 1e-9) <= counts)
+    assert np.all(counts <= np.searchsorted(lam, x + 1e-9))
+
+
+def test_sturm_counts_two_by_two_closed_form():
+    a, b = 0.5, -1.25
+    x = np.array([-3.0, -1.25, 0.0, 0.5, 3.0])
+    counts, log_det = sturm_counts(np.array([a, b]), x)
+    # eigenvalues (a + b)/2 -+ sqrt(((a - b)/2)^2 + 1) = -1.7, 0.95
+    assert counts.tolist() == [0, 1, 1, 1, 2]
+    assert log_det == pytest.approx(np.log(np.abs((x - a) * (x - b) - 1.0)), abs=1e-14)
+
+
+@pytest.mark.parametrize("big", [1e8, 1e40])
+def test_sturm_counts_large_potential_does_not_overflow(big):
+    # Per-site growth up to 2 big: the chunks shorten so that no lane overflows.
+    v = np.tile([big, 0.0, -big, 1.0], 50)
+    lam = np.linalg.eigvalsh(_jacobi(v))
+    x = np.array([-2 * big, -big / 2, 0.5, 3.0, big / 2, 2 * big])
+    counts, log_det = sturm_counts(v, x)
+    assert counts.tolist() == np.searchsorted(lam, x).tolist()
+    assert np.all(np.isfinite(log_det))
