@@ -114,44 +114,49 @@ def classify_many(spec: ModelSpec, energies: np.ndarray, n_levels: int
     """Vectorized classification over an energy grid.
 
     Returns (escaped mask, escape step or -1, sup norm, invariant) arrays.
-    Escaped entries freeze at their escape-time state, so the sweep is
-    independent of grid partitioning.
+    Energies run in batches of transfer._BATCH, and each level steps only
+    the orbits still live: an escaped orbit keeps its escape-time verdict
+    and sup norm, and a batch stops once all its orbits have escaped. Every
+    energy gets the same arithmetic however the grid is cut into batches.
     """
     return _classify(spec, np.asarray(energies, dtype=float), n_levels)[:4]
 
 
 def _classify(spec: ModelSpec, energies: np.ndarray, n_levels: int):
     """classify_many plus the mask of orbits stopped by overflow."""
-    from .transfer import initial_triple_many
+    from .transfer import _batches, initial_triple_many
 
     if n_levels < 2:
         raise ValueError("n_levels must be >= 2")
-    x, y, z = initial_triple_many(spec, energies)
-    inv = x * x + y * y + z * z - 2.0 * x * y * z - 1.0
-    sup = np.sqrt(x * x + y * y + z * z)
-    escaped = np.zeros(x.shape, dtype=bool)
-    overflow = np.zeros(x.shape, dtype=bool)
-    escape_step = np.full(x.shape, -1, dtype=np.int64)
+    K = len(energies)
+    inv = np.empty(K)
+    sup = np.empty(K)
+    overflow = np.zeros(K, dtype=bool)
+    escape_step = np.full(K, -1, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(2, n_levels + 1):
-            if escaped.all():
-                break
-            nx, ny, nz = step(spec.cf.coefficient(n), TraceTriple(x, y, z))
-            live = ~escaped
-            x = np.where(live, nx, x)
-            y = np.where(live, ny, y)
-            z = np.where(live, nz, z)
-            biggest = np.maximum(np.abs(x), np.maximum(np.abs(y), np.abs(z)))
-            blown = live & (~np.isfinite(biggest) | (biggest > OVERFLOW_THRESHOLD))
-            hit = live & (np.abs(y) > 1.0) & (np.abs(z) > 1.0) & (np.abs(y * z) > np.abs(x))
-            new = blown | hit
-            escape_step[new] = n
-            escaped |= new
-            overflow |= blown
-            live = ~escaped
-            norm = np.sqrt(x * x + y * y + z * z)
-            sup = np.where(live & (norm > sup), norm, sup)
-    return escaped, escape_step, sup, inv, overflow
+        for s in _batches(energies):
+            x, y, z = initial_triple_many(spec, energies[s])
+            inv[s] = x * x + y * y + z * z - 2.0 * x * y * z - 1.0
+            # x, y, z, the sup norm so far and the energy index of each live orbit
+            live_sup = np.sqrt(x * x + y * y + z * z)
+            idx = np.arange(s.start, s.start + len(x))
+            for n in range(2, n_levels + 1):
+                if not idx.size:
+                    break
+                x, y, z = step(spec.cf.coefficient(n), TraceTriple(x, y, z))
+                biggest = np.maximum(np.abs(x), np.maximum(np.abs(y), np.abs(z)))
+                blown = ~np.isfinite(biggest) | (biggest > OVERFLOW_THRESHOLD)
+                hit = (np.abs(y) > 1.0) & (np.abs(z) > 1.0) & (np.abs(y * z) > np.abs(x))
+                new = blown | hit
+                gone = idx[new]
+                escape_step[gone] = n
+                overflow[idx[blown]] = True
+                sup[gone] = live_sup[new]
+                keep = ~new
+                x, y, z, idx, live_sup = x[keep], y[keep], z[keep], idx[keep], live_sup[keep]
+                np.maximum(live_sup, np.sqrt(x * x + y * y + z * z), out=live_sup)
+            sup[idx] = live_sup
+    return escape_step >= 0, escape_step, sup, inv, overflow
 
 
 def orbit_trace(spec: ModelSpec, E: float, n_levels: int) -> List[TraceTriple]:

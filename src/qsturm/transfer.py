@@ -109,17 +109,39 @@ def level_matrices_many(spec: ModelSpec, energies: np.ndarray, n_max: int) -> Li
     return [_stack(m) for m in itertools.islice(_levels(spec, energies), n_max + 2)]
 
 
+# Energies per batch of the grid kernels (half_traces_many,
+# initial_triple_many, tracemap.classify_many): the per-energy temporaries
+# of a level product or an orbit step are held for one batch at a time, so
+# the working set does not grow with the grid. Chosen by measurement; see
+# CHANGES.md.
+_BATCH = 8192
+
+
+def _batches(energies: np.ndarray) -> List[slice]:
+    """Consecutive slices of at most _BATCH energies covering the array."""
+    return [slice(i, i + _BATCH) for i in range(0, len(energies), _BATCH)]
+
+
 def initial_triple_many(spec: ModelSpec, energies: np.ndarray
                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    _, m0, m1 = itertools.islice(_levels(spec, energies), 3)
-    prod = _mul(m1, m0)
-    return 0.5 * (m0[0] + m0[3]), 0.5 * (m1[0] + m1[3]), 0.5 * (prod[0] + prod[3])
+    energies = np.asarray(energies, dtype=float)
+    out = np.empty((3, len(energies)))
+    for s in _batches(energies):
+        _, m0, m1 = itertools.islice(_levels(spec, energies[s]), 3)
+        prod = _mul(m1, m0)
+        for row, m in zip(out, (m0, m1, prod)):
+            np.multiply(0.5, m[0] + m[3], out=row[s])
+    return out[0], out[1], out[2]
 
 
 def half_traces_many(spec: ModelSpec, energies: np.ndarray, n: int) -> np.ndarray:
-    """y_E(n) = tr(M_E(n)) / 2 over an energy array."""
-    m11, _, _, m22 = next(itertools.islice(_levels(spec, energies), n + 1, None))
-    return 0.5 * (m11 + m22)
+    """y_E(n) = tr(M_E(n)) / 2 over an energy array, _BATCH energies at a time."""
+    energies = np.asarray(energies, dtype=float)
+    out = np.empty(len(energies))
+    for s in _batches(energies):
+        m11, _, _, m22 = next(itertools.islice(_levels(spec, energies[s]), n + 1, None))
+        np.multiply(0.5, m11 + m22, out=out[s])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +150,31 @@ def half_traces_many(spec: ModelSpec, energies: np.ndarray, n: int) -> np.ndarra
 _RENORM_EVERY = 64
 
 
+def _chunk_sites(energies: np.ndarray, v: np.ndarray) -> int:
+    """Sites per chunk of the lane kernel: _RENORM_EVERY, or fewer where a
+    large potential could overflow a chunk.
+
+    Each site grows max(|x_k|, |x_{k-1}|) by at most 1 + |E - v_k|, and
+    shrinks it by no more (det = 1), so a chunk of C sites stays within
+    2^(+-1000) of its start when C log2(1 + max|E - v|) <= 1000.
+    """
+    dmax = float(np.abs(energies).max(initial=0.0) + np.abs(v).max(initial=0.0))
+    return max(1, min(_RENORM_EVERY, int(1000.0 / np.log2(2.0 + dmax))))
+
+
 def _spectral_norms(m11, m12, m21, m22):
-    """Largest singular value of each 2x2 in entrywise representation."""
+    """Largest singular value of each 2x2 in entrywise representation.
+
+    The entries are first scaled by a power of two that brings the largest
+    to [0.5, 1), so that no square overflows; that scaling is exact, and the
+    result equals the unscaled formula wherever that stays finite.
+    """
+    _, e = np.frexp(np.maximum.reduce([np.abs(m11), np.abs(m12), np.abs(m21), np.abs(m22)]))
+    m11, m12, m21, m22 = (np.ldexp(m, -e) for m in (m11, m12, m21, m22))
     t = m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22
     det = m11 * m22 - m12 * m21
     disc = np.maximum(t * t - 4.0 * det * det, 0.0)
-    return np.sqrt(np.maximum(0.5 * (t + np.sqrt(disc)), 0.0))
+    return np.ldexp(np.sqrt(np.maximum(0.5 * (t + np.sqrt(disc)), 0.0)), e)
 
 
 def _recur(rows: List[np.ndarray], d) -> None:
@@ -151,13 +192,14 @@ def _recur(rows: List[np.ndarray], d) -> None:
 
 def lyapunov_many(spec: ModelSpec, energies: np.ndarray, L: int, shift: int = 0) -> np.ndarray:
     """(1/L) ln ||M_E(L)|| (spectral norm) over an energy array, renormalizing
-    by the largest entry every 64 steps to avoid overflow.
+    by the largest entry every 64 steps (fewer for a large potential, see
+    _chunk_sites) to avoid overflow.
     """
     if L < 1000:
         raise ValueError("lyapunov requires L >= 1000")
     energies = np.asarray(energies, dtype=float)
     v = spec.potential_values(qs_prefix(spec, L, shift=shift))
-    C = _RENORM_EVERY
+    C = _chunk_sites(energies, v)
     K = len(energies)
     # Lanes :K run the chain (m21, m11) and lanes K: the chain (m22, m12):
     # row k of a chunk holds (m11, m12) after k - 1 of its sites, and rows
@@ -209,11 +251,7 @@ def sturm_counts(diag: np.ndarray, energies: np.ndarray) -> Tuple[np.ndarray, np
     v = np.asarray(diag, dtype=float)
     energies = np.asarray(energies, dtype=float)
     K = len(energies)
-    # Each site grows max(|x_k|, |x_{k-1}|) by at most 1 + |E - v_k|, and
-    # shrinks it by no more (det = 1), so a chunk of C sites stays within
-    # 2^(+-1000) of its start when C log2(1 + max|E - v|) <= 1000.
-    dmax = float(np.abs(energies).max(initial=0.0) + np.abs(v).max(initial=0.0))
-    C = max(1, min(_RENORM_EVERY, int(1000.0 / np.log2(2.0 + dmax))))
+    C = _chunk_sites(energies, v)
     buf = np.empty((C + 2, K))
     buf[0], buf[1] = 0.0, 1.0
     rows = list(buf)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from qsturm.spectrum import (
     stable_set,
     tridiagonal_eigenvalues,
 )
+from qsturm.transfer import half_traces_many
 from qsturm.words import ModelSpec, Substitution, Word
 
 
@@ -165,6 +167,37 @@ def test_stable_set_guards(fib_spec):
         stable_set(fib_spec, grid=100, n_levels=5)
     with pytest.raises(ValueError):
         stable_set(fib_spec, grid=1, n_levels=15)
+
+
+# Bytes per energy that stable_set holds by its contract: the sweep's grid,
+# sup norm and bounded mask (8 + 8 + 1), the rest of classify_many's results
+# (escaped mask, escape step and invariant: 1 + 8 + 8), and two one-byte
+# masks (the overflow mask inside classify_many, the run boundaries).
+_STABLE_SET_HELD = 36
+
+
+@pytest.mark.parametrize("kernel", ["half_traces_many", "stable_set"])
+def test_working_set_does_not_grow_with_the_grid(bench_specs, kernel):
+    # Peak traced memory less the input and output arrays: only one batch of
+    # per-energy temporaries is live, so the rest is the same at 10^5 and
+    # 10^6 energies (it grew tenfold with the whole-grid kernels).
+    spec = bench_specs["fibonacci"]
+    extra = []
+    for K in (10**5, 10**6):
+        tracemalloc.start()
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                if kernel == "half_traces_many":
+                    energies = np.linspace(*energy_window(spec), K)
+                    held = energies.nbytes + half_traces_many(spec, energies, 10).nbytes
+                else:
+                    stable_set(spec, grid=K, n_levels=10)
+                    held = _STABLE_SET_HELD * K
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra.append(peak - held)
+    assert extra[1] <= extra[0] + 2**20, [f"{e / 2**20:.1f} MiB" for e in extra]
 
 
 def _runs_loop(mask):

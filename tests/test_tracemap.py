@@ -20,7 +20,8 @@ from qsturm.tracemap import (
     step,
 )
 from qsturm.contfrac import ContinuedFraction
-from qsturm.transfer import initial_triple, level_matrices
+from qsturm.spectrum import energy_window
+from qsturm.transfer import _BATCH, initial_triple, level_matrices, level_matrices_many
 from qsturm.words import ModelSpec, Substitution, Word
 
 
@@ -182,6 +183,51 @@ def test_classify_many_matches_reference_loop(model, request):
         assert inv[i] == pytest.approx(ref_inv, rel=1e-12, abs=1e-12)
         v = classify_orbit(spec, float(E), 25)
         assert (v.escape_step, v.overflow) == (ref_step, ref_overflow)
+
+
+def _classify_where(spec, energies, n_levels):
+    """Oracle: the loop classify_many ran before batches and live-orbit
+    compaction. It steps every orbit over the whole grid at every level and
+    freezes the escaped ones with np.where."""
+    M0, M1 = level_matrices_many(spec, energies, 1)[1:]
+    # (tr M(0), tr M(1), tr(M(1) M(0))) / 2, entrywise as the kernel multiplies
+    tr = (M1[:, 0, 0] * M0[:, 0, 0] + M1[:, 0, 1] * M0[:, 1, 0]) + (M1[:, 1, 0] * M0[:, 0, 1] + M1[:, 1, 1] * M0[:, 1, 1])
+    x, y, z = 0.5 * (M0[:, 0, 0] + M0[:, 1, 1]), 0.5 * (M1[:, 0, 0] + M1[:, 1, 1]), 0.5 * tr
+    inv = x * x + y * y + z * z - 2.0 * x * y * z - 1.0
+    sup = np.sqrt(x * x + y * y + z * z)
+    escaped = np.zeros(x.shape, dtype=bool)
+    escape_step = np.full(x.shape, -1, dtype=np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(2, n_levels + 1):
+            if escaped.all():
+                break
+            nx, ny, nz = step(spec.cf.coefficient(n), TraceTriple(x, y, z))
+            live = ~escaped
+            x = np.where(live, nx, x)
+            y = np.where(live, ny, y)
+            z = np.where(live, nz, z)
+            biggest = np.maximum(np.abs(x), np.maximum(np.abs(y), np.abs(z)))
+            blown = live & (~np.isfinite(biggest) | (biggest > OVERFLOW_THRESHOLD))
+            hit = live & (np.abs(y) > 1.0) & (np.abs(z) > 1.0) & (np.abs(y * z) > np.abs(x))
+            new = blown | hit
+            escape_step[new] = n
+            escaped |= new
+            live = ~escaped
+            norm = np.sqrt(x * x + y * y + z * z)
+            sup = np.where(live & (norm > sup), norm, sup)
+    return escaped, escape_step, sup, inv
+
+
+@pytest.mark.parametrize("K", [_BATCH - 1, _BATCH, _BATCH + 1, 3 * _BATCH + 17])
+def test_classify_many_matches_where_loop(bench_specs, K):
+    # Bit for bit, on the grid of the stable-set sweep at its default depth.
+    for spec in bench_specs.values():
+        energies = np.linspace(*energy_window(spec), K)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _classify_where(spec, energies, 30)
+        got = classify_many(spec, energies, 30)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 def test_escape_set_membership_predicate():

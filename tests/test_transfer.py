@@ -1,18 +1,24 @@
 """Transfer matrices, Lyapunov estimates, solutions, Gordon residuals."""
 
+import json
 import math
 import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsturm.cli import main
 from qsturm.errors import DegenerateFit, OutOfRange, ZeroInitialCondition
 from qsturm.spectrum import energy_window
 from qsturm.transfer import (
+    _BATCH,
     GordonResult,
     GrowthExponents,
+    _chunk_sites,
     _spectral_norms,
     gordon_residual,
     growth_exponents,
@@ -29,7 +35,13 @@ from qsturm.transfer import (
     sturm_counts,
     word_matrix,
 )
-from qsturm.words import Word, find_squares, qs_prefix
+from qsturm.words import ModelSpec, Word, find_squares, qs_prefix
+
+BENCH_MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "models"
+# The approximant levels of the benchmark's `bands` ops, one per model.
+BENCH_LEVELS = {"fibonacci": 12, "q5": 8, "digits": 5, "prefixed": 10}
+# Grids one short of, equal to and one past a batch, and three batches and a tail.
+BATCH_SIZES = [_BATCH - 1, _BATCH, _BATCH + 1, 3 * _BATCH + 17]
 
 
 # ------------------------------------------------------------------- matrices
@@ -116,6 +128,25 @@ def test_level_matrices_many_match_site_products(model, top, request):
             assert err <= 1e-10 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("K", BATCH_SIZES)
+def test_batched_traces_match_level_stacks(bench_specs, K):
+    # Bit for bit: batching cuts the grid, not the arithmetic of an energy.
+    for model, n in BENCH_LEVELS.items():
+        spec = bench_specs[model]
+        energies = np.linspace(*energy_window(spec), K)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacks = level_matrices_many(spec, energies, n)
+            got = half_traces_many(spec, energies, n)
+            x, y, z = initial_triple_many(spec, energies)
+        half_trace = [0.5 * (M[:, 0, 0] + M[:, 1, 1]) for M in stacks]
+        assert got.tobytes() == half_trace[n + 1].tobytes()
+        assert x.tobytes() == half_trace[1].tobytes()
+        assert y.tobytes() == half_trace[2].tobytes()
+        a, b = stacks[2], stacks[1]  # tr(M(1) M(0)), entrywise as the kernel multiplies
+        tr = (a[:, 0, 0] * b[:, 0, 0] + a[:, 0, 1] * b[:, 1, 0]) + (a[:, 1, 0] * b[:, 0, 1] + a[:, 1, 1] * b[:, 1, 1])
+        assert z.tobytes() == (0.5 * tr).tobytes()
+
+
 # ------------------------------------------------------------------- Lyapunov
 
 def test_lyapunov_free_case_closed_form(free_spec):
@@ -140,8 +171,9 @@ def test_lyapunov_requires_long_product(fib_spec):
         lyapunov(fib_spec, 0.0, 100)
 
 
-def _lyapunov_sites(spec, energies, L, shift=0):
-    """Oracle: the per-site loop lyapunov_many ran before the lane kernel."""
+def _lyapunov_sites(spec, energies, L, shift=0, every=64):
+    """Oracle: the per-site loop lyapunov_many ran before the lane kernel,
+    renormalizing after every `every` sites."""
     energies = np.asarray(energies, dtype=float)
     v = spec.potential_values(qs_prefix(spec, L, shift=shift))
     K = len(energies)
@@ -153,7 +185,7 @@ def _lyapunov_sites(spec, energies, L, shift=0):
     for i in range(L):
         d = energies - v[i]
         m11, m12, m21, m22 = d * m11 - m21, d * m12 - m22, m11, m12
-        if (i + 1) % 64 == 0:
+        if (i + 1) % every == 0:
             scale = np.maximum.reduce([np.abs(m11), np.abs(m12), np.abs(m21), np.abs(m22)])
             scale = np.where(scale > 0, scale, 1.0)
             m11 /= scale
@@ -185,6 +217,36 @@ def test_lyapunov_many_matches_site_loop_at_chunk_ends(bench_specs, L):
     got = lyapunov_many(bench_specs["q5"], energies, L, shift=5)
     assert got.tobytes() == _lyapunov_sites(bench_specs["q5"], energies, L, 5).tobytes()
     assert lyapunov_many(bench_specs["q5"], energies[:0], L).shape == (0,)
+
+
+def test_lyapunov_chunk_is_64_on_bench_models(bench_specs):
+    # so that the bit-for-bit oracle above, renormalizing every 64 sites, applies
+    for spec in bench_specs.values():
+        energies = np.linspace(*energy_window(spec), 200)
+        assert _chunk_sites(energies, np.array(list(spec.potential.values()))) == 64
+
+
+@pytest.mark.parametrize("big", [1e5, 1e7])
+def test_lyapunov_large_potential_stays_finite(big, tmp_path, capsys):
+    # A site can grow the entries by about big: the entries left by the
+    # last, unrenormalized chunk overflow when squared in the spectral norm
+    # (1e5), and 64 sites overflow within a chunk (1e7). The oracle
+    # renormalizes after every site, so its entries stay below 1.
+    model = json.loads((BENCH_MODELS / "fibonacci.json").read_text())
+    model["potential"] = {"a": big, "b": 0.0}
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(model))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["lyapunov", str(path), "--length", "1000", "--grid", "5"])
+    out = capsys.readouterr()
+    assert code == 0, out.err
+    rows = [line.split(",") for line in out.out.splitlines()
+            if line and not line.startswith(("#", "E,"))]
+    energies, gammas = np.array(rows, dtype=float).T
+    want = _lyapunov_sites(ModelSpec.from_json(model), energies, 1000, every=1)
+    assert np.all(np.isfinite(gammas))
+    assert np.max(np.abs(gammas - want)) <= 1e-8
 
 
 # ------------------------------------------------------------------ solutions
