@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -147,7 +148,10 @@ def _cmd_bands(spec, args, out: Output):
 
 def _parse_nrange(s: str) -> List[int]:
     lo, _, hi = s.partition(":")
-    return list(range(int(lo), int(hi) + 1))
+    try:
+        return list(range(int(lo), int(hi) + 1))
+    except ValueError:
+        raise ValueError(f"--nrange must have the form LO:HI, got {s!r}") from None
 
 
 def _cmd_spectrum(spec, args, out: Output):
@@ -163,6 +167,8 @@ def _cmd_spectrum(spec, args, out: Output):
 def _cmd_lyapunov(spec, args, out: Output):
     from .spectrum import energy_window
 
+    if args.grid < 1:
+        raise ValueError(f"--grid must be at least 1, got {args.grid}")
     lo, hi = energy_window(spec)
     grid = np.linspace(lo, hi, args.grid)
     gammas = lyapunov_many(spec, grid, args.length, shift=args.shift)
@@ -190,13 +196,62 @@ def _cmd_alpha(spec, args, out: Output):
     out.row(g.gamma1, g.gamma2, g.alpha, str(g.escaped).lower())
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name -> (handler, {flag: add_argument keywords}); every command also takes
+# the model path, --out and --format.
+_COMMANDS = {
+    "generate": (_cmd_generate, {
+        "length": {"type": int, "default": 100},
+        "shift": {"type": int, "default": 0},
+        "levels": {"type": int, "default": None}}),
+    "complexity": (_cmd_complexity, {
+        "nmax": {"type": int, "default": 50},
+        "length": {"type": int, "default": 100_000},
+        "shift": {"type": int, "default": 0}}),
+    "decompose": (_cmd_decompose, {
+        "refine": {"type": int, "default": 20},
+        "length": {"type": int, "default": 100_000},
+        "shift": {"type": int, "default": 0}}),
+    "tracemap": (_cmd_tracemap, {
+        "energy": {"type": float, "required": True},
+        "levels": {"type": int, "default": 30}}),
+    "bands": (_cmd_bands, {
+        "level": {"type": int, "required": True},
+        "tol": {"type": float, "default": 1e-10}}),
+    "spectrum": (_cmd_spectrum, {
+        "grid": {"type": int, "default": 4000},
+        "levels": {"type": int, "default": 30},
+        "nrange": {"type": str, "default": "3:10"}}),
+    "lyapunov": (_cmd_lyapunov, {
+        "grid": {"type": int, "default": 200},
+        "length": {"type": int, "default": 10_000},
+        "shift": {"type": int, "default": 0}}),
+    "gordon": (_cmd_gordon, {
+        "energy": {"type": float, "required": True},
+        "nmax": {"type": int, "default": 8},
+        "shift": {"type": int, "default": 0}}),
+    "alpha": (_cmd_alpha, {
+        "energy": {"type": float, "required": True},
+        "lmax": {"type": int, "default": 10_000},
+        "shift": {"type": int, "default": 0}}),
+}
+
+
+def build_parser(argv: Optional[List[str]] = None) -> argparse.ArgumentParser:
+    """The qsturm parser. When argv starts with a command only that command's
+    subparser is built, and otherwise (help, --version, usage errors) all of
+    them, so every help, usage and error text reads the same either way.
+    """
     parser = argparse.ArgumentParser(prog="qsturm",
                                      description="Quasi-Sturmian potentials and their spectra")
     parser.add_argument("--version", action="version", version=f"qsturm {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    names = argv[:1] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
+    # With one subparser the usage line still lists every command; the
+    # metavar is left unset otherwise, as errors about the command name it.
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    def add(name, func, **flags):
+    for name in names:
+        func, flags = _COMMANDS[name]
         p = sub.add_parser(name)
         p.add_argument("spec_path", help="JSON model file")
         p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -204,54 +259,21 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, kw in flags.items():
             p.add_argument(f"--{flag}", **kw)
         p.set_defaults(func=func)
-        return p
-
-    add("generate", _cmd_generate,
-        length={"type": int, "default": 100},
-        shift={"type": int, "default": 0},
-        levels={"type": int, "default": None})
-    add("complexity", _cmd_complexity,
-        nmax={"type": int, "default": 50},
-        length={"type": int, "default": 100_000},
-        shift={"type": int, "default": 0})
-    add("decompose", _cmd_decompose,
-        refine={"type": int, "default": 20},
-        length={"type": int, "default": 100_000},
-        shift={"type": int, "default": 0})
-    add("tracemap", _cmd_tracemap,
-        energy={"type": float, "required": True},
-        levels={"type": int, "default": 30})
-    add("bands", _cmd_bands,
-        level={"type": int, "required": True},
-        tol={"type": float, "default": 1e-10})
-    add("spectrum", _cmd_spectrum,
-        grid={"type": int, "default": 4000},
-        levels={"type": int, "default": 30},
-        nrange={"type": str, "default": "3:10"})
-    add("lyapunov", _cmd_lyapunov,
-        grid={"type": int, "default": 200},
-        length={"type": int, "default": 10_000},
-        shift={"type": int, "default": 0})
-    add("gordon", _cmd_gordon,
-        energy={"type": float, "required": True},
-        nmax={"type": int, "default": 8},
-        shift={"type": int, "default": 0})
-    add("alpha", _cmd_alpha,
-        energy={"type": float, "required": True},
-        lmax={"type": int, "default": 10_000},
-        shift={"type": int, "default": 0})
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
-        spec = _load_spec(args.spec_path)
         params = {
             k: v for k, v in vars(args).items()
             if k not in ("func", "command", "spec_path", "out") and v is not None
         }
+        for k, v in params.items():
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"--{k} must be finite, got {v}")
+        spec = _load_spec(args.spec_path)
         out = Output(spec, args.command, params, args.format)
         args.func(spec, args, out)
         _emit(out, args.out)

@@ -7,8 +7,7 @@ convergent recursion p_n = a_n p_{n-1} + p_{n-2}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import IndexBeyondCoefficients, IntegerOverflow
 
@@ -17,29 +16,33 @@ from .errors import IndexBeyondCoefficients, IntegerOverflow
 _OVERFLOW_LIMIT = 2**63
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class _ContinuedFractionFields(NamedTuple):
+    coeffs: Tuple[int, ...]
+    periodic: Optional[Tuple[int, ...]]
+
+
+class ContinuedFraction(_ContinuedFractionFields):
     """Coefficients a_1..a_N, optionally extended indefinitely by a periodic block.
 
     Immutable; safe to share between threads.
     """
 
-    coeffs: Tuple[int, ...]
-    periodic: Optional[Tuple[int, ...]] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(a) for a in self.coeffs))
-        if self.periodic is not None:
-            object.__setattr__(self, "periodic", tuple(int(a) for a in self.periodic))
-        for a in self.coeffs:
+    def __new__(cls, coeffs: Tuple[int, ...], periodic: Optional[Tuple[int, ...]] = None):
+        coeffs = tuple(int(a) for a in coeffs)
+        if periodic is not None:
+            periodic = tuple(int(a) for a in periodic)
+        for a in coeffs:
             if a < 1:
                 raise ValueError(f"continued fraction coefficients must be >= 1, got {a}")
-        if self.periodic is not None:
-            if not self.periodic:
+        if periodic is not None:
+            if not periodic:
                 raise ValueError("periodic block must be nonempty")
-            for a in self.periodic:
+            for a in periodic:
                 if a < 1:
                     raise ValueError(f"periodic coefficients must be >= 1, got {a}")
+        return super().__new__(cls, coeffs, periodic)
 
     def coefficient(self, i: int) -> int:
         """a_i for 1-based index i, drawing from the periodic extension if present."""

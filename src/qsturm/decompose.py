@@ -4,8 +4,7 @@ of (prefix w, substitution S, Sturmian base, rotation number) from a raw word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -20,8 +19,7 @@ from .errors import (
 from .words import Word, Substitution, complexity, factor_index, safe_window, substitute
 
 
-@dataclass(frozen=True)
-class RauzyGraph:
+class RauzyGraph(NamedTuple):
     """G(n): vertices are the length-n factors, edges the length-(n+1) factors.
 
     Edge axb runs from ax to xb.
@@ -75,8 +73,7 @@ def special_factors(g: RauzyGraph) -> Dict[str, List[Word]]:
     return {"right_special": right, "left_special": left, "bispecial": bis}
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     kind: str  # periodic | sturmian | quasi_sturmian | other
     k: int
     n0: int
@@ -120,8 +117,7 @@ def detect_qs(w: Word, n_max: Optional[int] = None) -> Classification:
     return Classification("quasi_sturmian", k=k, n0=n0)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Cassaigne decomposition of a quasi-Sturmian window.
 
     The analyzed window (the first window_length symbols of the input) is

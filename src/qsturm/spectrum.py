@@ -11,8 +11,7 @@ count-checked regula falsi steps to 2^-40 of its Gershgorin window (about
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -24,22 +23,26 @@ from .words import ModelSpec, level_words_prime, qs_prefix
 ENERGY_MARGIN = 0.5
 
 
-@dataclass(frozen=True)
-class BandList:
-    """Sorted disjoint closed energy intervals with provenance."""
-
+class _BandListFields(NamedTuple):
     bands: Tuple[Tuple[float, float], ...]
     level: str
-    merged: bool = False
+    merged: bool
 
-    def __post_init__(self):
+
+class BandList(_BandListFields):
+    """Sorted disjoint closed energy intervals with provenance."""
+
+    __slots__ = ()
+
+    def __new__(cls, bands: Tuple[Tuple[float, float], ...], level: str, merged: bool = False):
         prev_hi = -np.inf
-        for lo, hi in self.bands:
+        for lo, hi in bands:
             if lo > hi:
                 raise ValueError(f"band [{lo}, {hi}] has lo > hi")
             if lo < prev_hi:
                 raise ValueError("bands must be sorted and disjoint")
             prev_hi = hi
+        return super().__new__(cls, bands, level, merged)
 
     @property
     def band_count(self) -> int:
@@ -67,7 +70,7 @@ def periodic_bands(spec: ModelSpec, n: int, tol: float = 1e-10) -> BandList:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be > 0")
     expected = len(level_words_prime(spec, n)[n + 1])
     lo, hi = energy_window(spec)
@@ -154,15 +157,18 @@ def _bisect_edges(spec, n, e_out, e_in, tol):
     return e_in
 
 
-@dataclass(frozen=True)
-class StableSweep:
+class StableSweep(NamedTuple):
     """Stable-set sweep: grid cells whose center has a bounded trace-map orbit."""
 
     bands: BandList
-    grid: np.ndarray = field(repr=False)
-    bounded: np.ndarray = field(repr=False)
-    sup_norm: np.ndarray = field(repr=False)
+    grid: np.ndarray
+    bounded: np.ndarray
+    sup_norm: np.ndarray
     cell_width: float = 0.0
+
+    def __repr__(self) -> str:
+        # the per-cell arrays are left out, as they can be millions long
+        return f"StableSweep(bands={self.bands!r}, cell_width={self.cell_width!r})"
 
     @property
     def stable_centers(self) -> np.ndarray:
@@ -282,8 +288,7 @@ def tridiagonal_eigenvalues(diag: np.ndarray) -> np.ndarray:
         trials = np.unique(np.where(usable, falsi, 0.5 * (L + H)))
 
 
-@dataclass(frozen=True)
-class MeasureRow:
+class MeasureRow(NamedTuple):
     n: int
     band_count: int
     total_measure: float

@@ -4,7 +4,6 @@ elementary-block orbits, conserved invariant, and escape classification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -20,8 +19,7 @@ class TraceTriple(NamedTuple):
     z: float
 
 
-@dataclass(frozen=True)
-class OrbitVerdict:
+class OrbitVerdict(NamedTuple):
     """Outcome of orbit classification.
 
     kind is "bounded" or "escaped"; escape_step is the trace-map level at

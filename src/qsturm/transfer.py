@@ -10,7 +10,6 @@ a word first (rightmost factor in the product).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, List, NamedTuple, Tuple
 
 import numpy as np
@@ -278,8 +277,7 @@ def sturm_counts(diag: np.ndarray, energies: np.ndarray) -> Tuple[np.ndarray, np
 # ---------------------------------------------------------------------------
 # Solutions of the difference equation
 
-@dataclass(frozen=True)
-class SolutionSegment:
+class SolutionSegment(NamedTuple):
     """phi(0..L+1) solving phi(n+1) + phi(n-1) + V(n) phi(n) = E phi(n)."""
 
     values: np.ndarray
@@ -350,8 +348,7 @@ _N_ANGLES = 32
 _ESCAPE_MAGNITUDE = 1e100
 
 
-@dataclass(frozen=True)
-class GrowthExponents:
+class GrowthExponents(NamedTuple):
     gamma1: float
     gamma2: float
     alpha: float

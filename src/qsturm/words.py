@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -125,17 +124,21 @@ def reflect(w: Word) -> Word:
     return w.reverse()
 
 
-@dataclass(frozen=True)
-class Substitution:
-    """Letter-to-word morphism, extended to words by concatenation."""
-
+class _SubstitutionFields(NamedTuple):
     images: Mapping[str, Word]
 
-    def __post_init__(self):
-        object.__setattr__(self, "images", dict(self.images))
-        for letter, img in self.images.items():
+
+class Substitution(_SubstitutionFields):
+    """Letter-to-word morphism, extended to words by concatenation."""
+
+    __slots__ = ()
+
+    def __new__(cls, images: Mapping[str, Word]):
+        images = dict(images)
+        for letter, img in images.items():
             if len(img) == 0:
                 raise ValueError(f"substitution image of {letter!r} must be nonempty")
+        return super().__new__(cls, images)
 
     @classmethod
     def from_strings(cls, images: Mapping[str, str]) -> "Substitution":
@@ -186,24 +189,29 @@ def reflect_subst(s: Substitution) -> Substitution:
     return Substitution({k: v.reverse() for k, v in s.images.items()})
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    """Quasi-Sturmian model u = prefix . S(c_theta) with a potential map f."""
-
+class _ModelSpecFields(NamedTuple):
     cf: ContinuedFraction
     subst: Substitution
     prefix: Word
     potential: Mapping[str, float]
-    allow_non_injective: bool = False
+    allow_non_injective: bool
 
-    def __post_init__(self):
-        object.__setattr__(self, "potential", dict(self.potential))
-        values = list(self.potential.values())
-        if not self.allow_non_injective and len(set(values)) != len(values):
+
+class ModelSpec(_ModelSpecFields):
+    """Quasi-Sturmian model u = prefix . S(c_theta) with a potential map f."""
+
+    __slots__ = ()
+
+    def __new__(cls, cf: ContinuedFraction, subst: Substitution, prefix: Word,
+                potential: Mapping[str, float], allow_non_injective: bool = False):
+        potential = dict(potential)
+        values = list(potential.values())
+        if not allow_non_injective and len(set(values)) != len(values):
             raise ValueError("potential map must be injective (or set allow_non_injective)")
-        for s in self.subst.target_alphabet:
-            if s not in self.potential:
+        for s in subst.target_alphabet:
+            if s not in potential:
                 raise ValueError(f"potential undefined for alphabet symbol {s!r}")
+        return super().__new__(cls, cf, subst, prefix, potential, allow_non_injective)
 
     def potential_values(self, w: Word) -> np.ndarray:
         """f applied symbol-wise; energy units."""

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import qsturm
-from qsturm.cli import main
+from qsturm.cli import build_parser, main
 
 
 FIB_MODEL = {
@@ -256,3 +256,127 @@ def test_cli_import_leaves_scipy_unloaded():
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, qsturm.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_cli_import_constructs_no_dataclass():
+    # Every CLI call imports qsturm.cli, so its records are NamedTuples, far
+    # cheaper to build than frozen dataclasses. The import still loads every
+    # layer: nothing is deferred.
+    src = os.path.dirname(os.path.dirname(qsturm.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, qsturm.cli; assert 'dataclasses' not in sys.modules, 'dataclasses imported'; "
+            "missing = {'contfrac', 'words', 'decompose', 'tracemap', 'transfer', 'spectrum'} "
+            "- {m[7:] for m in sys.modules if m.startswith('qsturm.')}; assert not missing, missing")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+# ---------------------------------------------------------------- the parser
+
+COMMAND_FLAGS = {
+    "generate": ["--length", "--shift", "--levels"],
+    "complexity": ["--nmax", "--length", "--shift"],
+    "decompose": ["--refine", "--length", "--shift"],
+    "tracemap": ["--energy", "--levels"],
+    "bands": ["--level", "--tol"],
+    "spectrum": ["--grid", "--levels", "--nrange"],
+    "lyapunov": ["--grid", "--length", "--shift"],
+    "gordon": ["--energy", "--nmax", "--shift"],
+    "alpha": ["--energy", "--lmax", "--shift"],
+}
+REQUIRED_FLAG = {"tracemap": "--energy", "bands": "--level", "gordon": "--energy", "alpha": "--energy"}
+CHOICES = "{" + ",".join(COMMAND_FLAGS) + "}"
+
+
+def exit_code(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    out = capsys.readouterr()
+    return info.value.code, out.out, out.err
+
+
+def test_help_lists_every_command(capsys):
+    code, out, _ = exit_code(["--help"], capsys)
+    assert code == 0
+    assert out.startswith("usage: qsturm [-h] [--version]")
+    assert CHOICES in out
+
+
+@pytest.mark.parametrize("argv", [[], ["nosuch"], ["nosuch", "model.json"]])
+def test_no_or_unknown_command_lists_every_choice(argv, capsys):
+    code, out, err = exit_code(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: qsturm [-h] [--version]") and CHOICES in err
+    if argv:
+        assert "invalid choice: 'nosuch' (choose from " in err
+        assert all(f"'{c}'" in err for c in COMMAND_FLAGS)
+    else:
+        assert "the following arguments are required: command" in err
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_command_help_names_its_flags(command, capsys):
+    code, out, _ = exit_code([command, "--help"], capsys)
+    assert code == 0
+    assert out.startswith(f"usage: qsturm {command} [-h]")
+    for flag in COMMAND_FLAGS[command] + ["spec_path", "--out", "--format"]:
+        assert flag in out, flag
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED_FLAG))
+def test_missing_required_flag_is_a_usage_error(command, fib_path, capsys):
+    code, out, err = exit_code([command, fib_path], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"usage: qsturm {command} ")
+    assert err.endswith(f"error: the following arguments are required: {REQUIRED_FLAG[command]}\n")
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_one_subparser_reads_like_all_of_them(command, capsys):
+    # argv naming a command builds that subparser alone; usage and help read
+    # as they do with all nine built.
+    alone, full = build_parser([command]), build_parser()
+    assert alone.format_usage() == full.format_usage()
+    assert CHOICES in alone.format_usage()
+    texts = []
+    for parser in (alone, full):
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--help"])
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    other = "bands" if command != "bands" else "alpha"
+    with pytest.raises(SystemExit):
+        alone.parse_args([other, "model.json"])
+    assert f"(choose from '{command}')" in capsys.readouterr().err
+
+
+def test_unrecognized_argument_after_command_shows_full_usage(fib_path, capsys):
+    code, _, err = exit_code(["bands", fib_path, "--level", "3", "--bogus"], capsys)
+    assert code == 2
+    assert err.startswith("usage: qsturm [-h] [--version]") and CHOICES in err
+    assert err.endswith("qsturm: error: unrecognized arguments: --bogus\n")
+
+
+# Inputs a command cannot give a meaningful answer for: each fails with
+# exit 1 and one line on stderr, before any numpy arithmetic runs.
+INVALID = [
+    (["tracemap", "--energy", "nan"], "--energy must be finite, got nan"),
+    (["tracemap", "--energy", "inf"], "--energy must be finite, got inf"),
+    (["gordon", "--energy", "inf"], "--energy must be finite, got inf"),
+    (["alpha", "--energy=-inf"], "--energy must be finite, got -inf"),
+    (["bands", "--level", "3", "--tol", "nan"], "--tol must be finite, got nan"),
+    (["bands", "--level", "3", "--tol", "inf"], "--tol must be finite, got inf"),
+    (["lyapunov", "--grid", "0"], "--grid must be at least 1, got 0"),
+    (["lyapunov", "--grid", "-3"], "--grid must be at least 1, got -3"),
+    (["spectrum", "--nrange", "3"], "--nrange must have the form LO:HI, got '3'"),
+    (["spectrum", "--nrange", "3:x"], "--nrange must have the form LO:HI, got '3:x'"),
+    (["spectrum", "--nrange", ":5"], "--nrange must have the form LO:HI, got ':5'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", INVALID, ids=[" ".join(a) for a, _ in INVALID])
+def test_invalid_inputs_are_rejected(argv, message, fib_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run([argv[0], fib_path] + argv[1:], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: ValueError: {message}\n"

@@ -46,10 +46,12 @@ def test_coefficient_finite_exhaustion():
 
 
 def test_invalid_coefficients_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^continued fraction coefficients must be >= 1, got 0$"):
         ContinuedFraction((0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^periodic block must be nonempty$"):
         ContinuedFraction((), ())
+    with pytest.raises(ValueError, match=r"^periodic coefficients must be >= 1, got -2$"):
+        ContinuedFraction((1,), (1, -2))
 
 
 def test_overflow_guard():

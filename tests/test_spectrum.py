@@ -29,9 +29,9 @@ from qsturm.words import ModelSpec, Substitution, Word
 # ------------------------------------------------------------------- BandList
 
 def test_bandlist_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^band \[0\.0, -1\.0\] has lo > hi$"):
         BandList(((0.0, -1.0),), level="x")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^bands must be sorted and disjoint$"):
         BandList(((0.0, 2.0), (1.0, 3.0)), level="x")
     bl = BandList(((0.0, 1.0), (2.0, 2.5)), level="x")
     assert bl.band_count == 2
@@ -133,8 +133,9 @@ def test_doubled_grid_contains_the_coarse_grid(name):
 def test_bad_arguments(fib_spec):
     with pytest.raises(ValueError):
         periodic_bands(fib_spec, 0)
-    with pytest.raises(ValueError):
-        periodic_bands(fib_spec, 3, tol=-1.0)
+    for tol in (-1.0, 0.0, math.nan):
+        with pytest.raises(ValueError, match=r"^tol must be > 0$"):
+            periodic_bands(fib_spec, 3, tol=tol)
     with pytest.raises(ValueError):
         measure_report(fib_spec, [])
 

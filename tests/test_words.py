@@ -182,9 +182,11 @@ def test_qs_prefix_with_head(prefix_spec):
 # ------------------------------------------------------------------ ModelSpec
 
 def test_modelspec_injectivity_guard(fib_cf):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^potential map must be injective \(or set allow_non_injective\)$"):
         ModelSpec(fib_cf, Substitution.identity(), Word.from_str("", ("a", "b")),
                   {"a": 1.0, "b": 1.0})
+    with pytest.raises(ValueError, match=r"^potential undefined for alphabet symbol 'b'$"):
+        ModelSpec(fib_cf, Substitution.identity(), Word.from_str("", ("a", "b")), {"a": 1.0})
 
 
 def test_modelspec_json_roundtrip(q5_spec):
