@@ -82,7 +82,7 @@ class Classification(NamedTuple):
 _MIN_DETECT_LENGTH = 64
 
 
-def detect_qs(w: Word, n_max: Optional[int] = None) -> Classification:
+def detect_qs(w: Word) -> Classification:
     """Classify w by its complexity profile on the safe window.
 
     For quasi_sturmian, k is the plateau constant in p(n) = n + k and n0 the
@@ -91,10 +91,7 @@ def detect_qs(w: Word, n_max: Optional[int] = None) -> Classification:
     """
     if len(w) < _MIN_DETECT_LENGTH:
         raise InconclusiveWindow(f"word of length {len(w)} too short to classify")
-    window = safe_window(w)
-    if n_max is None:
-        n_max = min(window, 400)
-    n_max = min(n_max, window)
+    n_max = min(safe_window(w), 400)
     p = complexity(w, n_max)
     # Eventually periodic: complexity bounded, i.e. flat at the tail.
     if p[-1] == p[-2] == p[max(0, n_max // 2)]:

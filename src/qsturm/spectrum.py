@@ -80,7 +80,7 @@ def periodic_bands(spec: ModelSpec, n: int, tol: float = 1e-10) -> BandList:
     seed = max(8 * expected, 1024)
     grid = np.linspace(lo, hi, seed + 1)
     inside = _in_band(spec, n, grid)
-    count, prev_count = len(_runs(inside)), -1
+    count, prev_count = len(_runs(inside)[0]), -1
     for _retry in range(4):
         if count >= expected or count == prev_count:
             break  # all found, or touching bands merge and the count is stable
@@ -89,12 +89,12 @@ def periodic_bands(spec: ModelSpec, n: int, tol: float = 1e-10) -> BandList:
         finer = np.empty(seed + 1, dtype=bool)
         finer[::2] = inside
         finer[1::2] = _in_band(spec, n, grid[1::2])
-        inside, prev_count, count = finer, count, len(_runs(finer))
-    bands = _bands_from_indicator(spec, n, grid, inside, tol)
-    if not bands:
+        inside, prev_count, count = finer, count, len(_runs(finer)[0])
+    if not count:
         raise GridTooCoarse(
             f"no bands found for level {n} on a {seed}-point grid"
         )
+    bands = _bands_from_indicator(spec, n, grid, inside, tol)
     merged = len(bands) < expected
     return BandList(tuple(bands), level=f"periodic:{n}", merged=merged)
 
@@ -108,41 +108,22 @@ def _in_band(spec, n, energies) -> np.ndarray:
 
 
 def _bands_from_indicator(spec, n, grid, inside, tol) -> List[Tuple[float, float]]:
-    """Assemble bands from the seed-grid indicator, bisecting all boundaries
-    simultaneously."""
-    runs = _runs(inside)
-    K = len(grid)
-    if not runs:
-        return []
-    # For each run, bisect the outer bracket; runs touching the window ends
-    # keep the grid point itself.
-    e_out, e_in, slots = [], [], []
-    edges = {}
-    for r, (i, j) in enumerate(runs):
-        if i == 0:
-            edges[(r, 0)] = float(grid[0])
-        else:
-            slots.append((r, 0))
-            e_out.append(grid[i - 1])
-            e_in.append(grid[i])
-        if j == K - 1:
-            edges[(r, 1)] = float(grid[K - 1])
-        else:
-            slots.append((r, 1))
-            e_out.append(grid[j + 1])
-            e_in.append(grid[j])
-    if slots:
-        refined = _bisect_edges(spec, n, np.array(e_out), np.array(e_in), tol)
-        for slot, e in zip(slots, refined):
-            edges[slot] = float(e)
-    return [(edges[(r, 0)], edges[(r, 1)]) for r in range(len(runs))]
+    """Assemble bands from the seed-grid indicator, bisecting both edges of
+    every run at once between the run's end points and their outer neighbours.
+
+    sigma(H_n) lies ENERGY_MARGIN inside the window, so no run reaches its ends.
+    """
+    first, last = _runs(inside)
+    edges = _bisect_edges(spec, n, np.concatenate((grid[first - 1], grid[last + 1])),
+                          np.concatenate((grid[first], grid[last])), tol)
+    return list(zip(edges[:len(first)].tolist(), edges[len(first):].tolist()))
 
 
-def _runs(mask: np.ndarray) -> List[Tuple[int, int]]:
-    """(first, last) index of every maximal run of True in a 1-D mask."""
+def _runs(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """First and last indices of the maximal runs of True in a 1-D mask."""
     padded = np.concatenate(([False], mask, [False]))
     edges = np.flatnonzero(padded[1:] != padded[:-1])
-    return list(zip(edges[0::2].tolist(), (edges[1::2] - 1).tolist()))
+    return edges[0::2], edges[1::2] - 1
 
 
 def _bisect_edges(spec, n, e_out, e_in, tol):
@@ -174,10 +155,6 @@ class StableSweep(NamedTuple):
     def stable_centers(self) -> np.ndarray:
         return self.grid[self.bounded]
 
-    @property
-    def escaped_centers(self) -> np.ndarray:
-        return self.grid[~self.bounded]
-
 
 def stable_set(spec: ModelSpec, grid: int = 4000, n_levels: int = 30) -> StableSweep:
     """Classify every grid-cell center and return the closure of bounded
@@ -192,8 +169,8 @@ def stable_set(spec: ModelSpec, grid: int = 4000, n_levels: int = 30) -> StableS
     centers = lo + width * (np.arange(grid) + 0.5)
     escaped, _steps, sup, _inv = classify_many(spec, centers, n_levels)
     bounded = ~escaped
-    bands = [(float(centers[i] - 0.5 * width), float(centers[j] + 0.5 * width))
-             for i, j in _runs(bounded)]
+    first, last = _runs(bounded)
+    bands = zip((centers[first] - 0.5 * width).tolist(), (centers[last] + 0.5 * width).tolist())
     band_list = BandList(tuple(bands), level=f"stable:grid={grid},levels={n_levels}")
     return StableSweep(band_list, centers, bounded, sup, width)
 
@@ -294,12 +271,12 @@ class MeasureRow(NamedTuple):
     total_measure: float
 
 
-def measure_report(spec: ModelSpec, n_range: Sequence[int], tol: float = 1e-10) -> List[MeasureRow]:
+def measure_report(spec: ModelSpec, n_range: Sequence[int]) -> List[MeasureRow]:
     """Per-level band statistics: count proliferation and measure decay."""
     if not n_range:
         raise ValueError("n_range must be nonempty")
     rows = []
     for n in n_range:
-        bl = periodic_bands(spec, n, tol=tol)
+        bl = periodic_bands(spec, n)
         rows.append(MeasureRow(n, bl.band_count, bl.total_measure))
     return rows

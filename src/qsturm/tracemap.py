@@ -82,9 +82,10 @@ def invariant(t: TraceTriple) -> float:
 
 
 def in_escape(t: TraceTriple) -> bool:
-    """Membership in the absorbing region {|y|>1, |z|>1, |yz|>|x|} (strict)."""
+    """Membership in the absorbing region {|y|>1, |z|>1, |yz|>|x|} (strict),
+    elementwise for triples of arrays."""
     x, y, z = t
-    return abs(y) > 1.0 and abs(z) > 1.0 and abs(y * z) > abs(x)
+    return (abs(y) > 1.0) & (abs(z) > 1.0) & (abs(y * z) > abs(x))
 
 
 OVERFLOW_THRESHOLD = 1e150
@@ -134,7 +135,7 @@ def _classify(spec: ModelSpec, energies: np.ndarray, n_levels: int):
     with np.errstate(over="ignore", invalid="ignore"):
         for s in _batches(energies):
             x, y, z = initial_triple_many(spec, energies[s])
-            inv[s] = x * x + y * y + z * z - 2.0 * x * y * z - 1.0
+            inv[s] = invariant(TraceTriple(x, y, z))
             # x, y, z, the sup norm so far and the energy index of each live orbit
             live_sup = np.sqrt(x * x + y * y + z * z)
             idx = np.arange(s.start, s.start + len(x))
@@ -144,8 +145,7 @@ def _classify(spec: ModelSpec, energies: np.ndarray, n_levels: int):
                 x, y, z = step(spec.cf.coefficient(n), TraceTriple(x, y, z))
                 biggest = np.maximum(np.abs(x), np.maximum(np.abs(y), np.abs(z)))
                 blown = ~np.isfinite(biggest) | (biggest > OVERFLOW_THRESHOLD)
-                hit = (np.abs(y) > 1.0) & (np.abs(z) > 1.0) & (np.abs(y * z) > np.abs(x))
-                new = blown | hit
+                new = blown | in_escape(TraceTriple(x, y, z))
                 gone = idx[new]
                 escape_step[gone] = n
                 overflow[idx[blown]] = True
@@ -163,7 +163,9 @@ def orbit_trace(spec: ModelSpec, E: float, n_levels: int) -> List[TraceTriple]:
 
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
-    t = initial_triple(spec, E)
+    # A huge |E| overflows the level matrices; the orbit then reads nan.
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = initial_triple(spec, E)
     out = [t]
     for n in range(1, n_levels):
         t = step(spec.cf.coefficient(n + 1), t)

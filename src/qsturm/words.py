@@ -8,13 +8,15 @@ so quasi-Sturmian alphabets of any size work; labels are opaque strings.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .contfrac import ContinuedFraction, approximants
+from .contfrac import _OVERFLOW_LIMIT, ContinuedFraction, approximants
 from .errors import (
+    IntegerOverflow,
     LengthBudgetExceeded,
     NoCommonSite,
     NotPalindromicDecomposition,
@@ -251,6 +253,22 @@ class ModelSpec(_ModelSpecFields):
 AB = ("a", "b")
 
 
+def _sturmian_words(cf: ContinuedFraction):
+    """s_{-1}, s_0, s_1, ... of the Sturmian recursion, one level at a time;
+    like approximants, it refuses a level longer than 64 bits can count."""
+    a_word = Word.from_str("a", AB)
+    b_word = Word.from_str("b", AB)
+    yield a_word
+    yield b_word
+    prev, cur = b_word, b_word * (cf.coefficient(1) - 1) + a_word
+    for n in itertools.count(2):
+        yield cur
+        a_n = cf.coefficient(n)
+        if len(cur) * a_n + len(prev) >= _OVERFLOW_LIMIT:
+            raise IntegerOverflow(f"convergent q_{n} exceeds 64-bit range")
+        prev, cur = cur, cur * a_n + prev
+
+
 def sturmian_levels(cf: ContinuedFraction, n_max: int,
                     max_length: int = DEFAULT_LENGTH_BUDGET) -> List[Word]:
     """Level words s_{-1}..s_{n_max}; returned list index i holds s_{i-1}.
@@ -262,59 +280,41 @@ def sturmian_levels(cf: ContinuedFraction, n_max: int,
     _, q = approximants(cf, n_max)
     if q > max_length:
         raise LengthBudgetExceeded(f"|s_{n_max}| = {q} exceeds budget {max_length}")
-    a_word = Word.from_str("a", AB)
-    b_word = Word.from_str("b", AB)
-    levels = [a_word, b_word]
-    a1 = cf.coefficient(1)
-    levels.append(b_word * (a1 - 1) + a_word)
-    for n in range(2, n_max + 1):
-        a_n = cf.coefficient(n)
-        levels.append(levels[-1] * a_n + levels[-2])
-    return levels
+    return list(itertools.islice(_sturmian_words(cf), n_max + 2))
 
 
-def characteristic_prefix(cf: ContinuedFraction, length: int,
-                          max_length: int = DEFAULT_LENGTH_BUDGET) -> Word:
-    """First `length` symbols of c_theta = lim s_n."""
+def characteristic_prefix(cf: ContinuedFraction, length: int) -> Word:
+    """First `length` symbols of c_theta = lim s_n, cut from the first s_n (n >= 1) that long."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    if length > max_length:
-        raise LengthBudgetExceeded(f"requested length {length} exceeds budget {max_length}")
-    n = 1
-    while True:
-        _, q = approximants(cf, n)
-        if q >= length:
-            break
-        n += 1
-    return sturmian_levels(cf, n, max_length=max(max_length, q))[n + 1][:length]
+    if length > DEFAULT_LENGTH_BUDGET:
+        raise LengthBudgetExceeded(f"requested length {length} exceeds budget {DEFAULT_LENGTH_BUDGET}")
+    for s in itertools.islice(_sturmian_words(cf), 2, None):
+        if len(s) >= length:
+            return s[:length]
 
 
-def level_words_prime(spec: ModelSpec, n_max: int,
-                      max_length: int = DEFAULT_LENGTH_BUDGET) -> List[Word]:
+def level_words_prime(spec: ModelSpec, n_max: int) -> List[Word]:
     """s'_n = S(s_n) for n = -1..n_max; list index i holds s'_{i-1}."""
     ell = max(len(img) for img in spec.subst.images.values())
-    levels = sturmian_levels(spec.cf, n_max, max_length=max(1, max_length // ell))
+    levels = sturmian_levels(spec.cf, n_max, max_length=max(1, DEFAULT_LENGTH_BUDGET // ell))
     return [substitute(spec.subst, s) for s in levels]
 
 
-def qs_prefix(spec: ModelSpec, length: int, shift: int = 0,
-              max_length: int = DEFAULT_LENGTH_BUDGET) -> Word:
+def qs_prefix(spec: ModelSpec, length: int, shift: int = 0) -> Word:
     """Symbols shift..shift+length-1 of u = prefix . S(c_theta)."""
     if length < 1:
         raise ValueError("length must be >= 1")
     if shift < 0:
         raise ValueError("shift must be >= 0")
     need = shift + length
-    if need > max_length:
-        raise LengthBudgetExceeded(f"window end {need} exceeds budget {max_length}")
+    if need > DEFAULT_LENGTH_BUDGET:
+        raise LengthBudgetExceeded(f"window end {need} exceeds budget {DEFAULT_LENGTH_BUDGET}")
+    # each base symbol yields at least ell_min symbols, so u reaches need
     ell_min = min(len(img) for img in spec.subst.images.values())
     base_need = max(1, -(-max(1, need - len(spec.prefix)) // ell_min))
-    base = characteristic_prefix(spec.cf, base_need, max_length=max_length)
+    base = characteristic_prefix(spec.cf, base_need)
     u = spec.prefix.recode(spec.subst.target_alphabet) + substitute(spec.subst, base)
-    while len(u) < need:
-        base_need *= 2
-        base = characteristic_prefix(spec.cf, base_need, max_length=max_length)
-        u = spec.prefix.recode(spec.subst.target_alphabet) + substitute(spec.subst, base)
     return u[shift:need]
 
 
@@ -472,8 +472,7 @@ def _square_sites(u: Word, ub: bytes, block: Word, window: int) -> np.ndarray:
     return hit
 
 
-def find_squares(spec: ModelSpec, shift: int, n_max: int,
-                 max_length: int = DEFAULT_LENGTH_BUDGET) -> List[Tuple[int, int, str]]:
+def find_squares(spec: ModelSpec, shift: int, n_max: int) -> List[Tuple[int, int, str]]:
     """Squares ww with w a cyclic conjugate of s'_n (single) or s'_n s'_{n-1}
     (composite), one per level n = 2..n_max, all starting at a common site m.
 
@@ -483,11 +482,11 @@ def find_squares(spec: ModelSpec, shift: int, n_max: int,
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    primes = level_words_prime(spec, n_max, max_length=max_length)
+    primes = level_words_prime(spec, n_max)
     ell_max = len(primes[n_max + 1]) + len(primes[n_max])
     window = 4 * len(primes[n_max + 1])
     scan_len = window + 2 * ell_max + 1
-    u = qs_prefix(spec, scan_len, shift=shift, max_length=max_length)
+    u = qs_prefix(spec, scan_len, shift=shift)
     ub = u.to_bytes()
 
     single = []

@@ -138,6 +138,18 @@ def test_tracemap_marks_unreliable_invariant(capsys):
     assert all(r[4] == "unreliable" for r in rows[4:])
 
 
+@pytest.mark.parametrize("energy", ["1e200", "1e300"])
+def test_tracemap_huge_energy_escapes_without_warning(energy, capsys):
+    # The level matrices overflow at such an energy, so the orbit reads nan
+    # and escapes at once; numpy must not warn on the terminal.
+    argv = ["tracemap", str(BENCH_MODELS / "q5.json"), "--energy", energy, "--format", "json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(argv, capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out)["verdict"]["kind"] == "escaped"
+
+
 @pytest.mark.parametrize("model", sorted(BENCH_CENTRES))
 def test_transport_commands_emit_no_runtime_warning(model, capsys):
     path = str(BENCH_MODELS / f"{model}.json")

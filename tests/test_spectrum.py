@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qsturm import spectrum
 from qsturm.contfrac import ContinuedFraction
 from qsturm.spectrum import (
     BandList,
@@ -221,7 +222,60 @@ def test_runs_match_loop():
     masks = [np.zeros(0, bool), np.zeros(5, bool), np.ones(5, bool)]
     masks += [rng.random(n) < p for n in (1, 2, 17, 200) for p in (0.2, 0.5, 0.9)]
     for mask in masks:
-        assert _runs(mask) == _runs_loop(mask)
+        first, last = _runs(mask)
+        assert list(zip(first.tolist(), last.tolist())) == _runs_loop(mask)
+
+
+def _bands_per_slot(spec, n, grid, inside, tol):
+    """Oracle: the per-slot band assembly periodic_bands ran before, with
+    its window-end cases (a run touching an end keeps that grid point)."""
+    runs = _runs_loop(inside)
+    K = len(grid)
+    if not runs:
+        return []
+    e_out, e_in, slots = [], [], []
+    edges = {}
+    for r, (i, j) in enumerate(runs):
+        if i == 0:
+            edges[(r, 0)] = float(grid[0])
+        else:
+            slots.append((r, 0))
+            e_out.append(grid[i - 1])
+            e_in.append(grid[i])
+        if j == K - 1:
+            edges[(r, 1)] = float(grid[K - 1])
+        else:
+            slots.append((r, 1))
+            e_out.append(grid[j + 1])
+            e_in.append(grid[j])
+    if slots:
+        refined = spectrum._bisect_edges(spec, n, np.array(e_out), np.array(e_in), tol)
+        for slot, e in zip(slots, refined):
+            edges[slot] = float(e)
+    return [(edges[(r, 0)], edges[(r, 1)]) for r in range(len(runs))]
+
+
+# The band levels of the spectral benchmark workload.
+SPECTRAL_LEVELS = {"fibonacci": (12, 14), "q5": (8, 10), "digits": (5, 6), "prefixed": (10, 12)}
+
+
+@pytest.mark.parametrize("model", sorted(SPECTRAL_LEVELS))
+def test_band_assembly_matches_per_slot_oracle(bench_specs, model, monkeypatch):
+    # Every run lies inside the window, so the oracle's end cases never fire
+    # and both assemblies bisect the same brackets: equal bits, band by band.
+    seen = []
+    assemble = spectrum._bands_from_indicator
+
+    def recording(*args):
+        seen.append(args)
+        return assemble(*args)
+
+    monkeypatch.setattr(spectrum, "_bands_from_indicator", recording)
+    for n in SPECTRAL_LEVELS[model]:
+        bands = np.array(periodic_bands(bench_specs[model], n).bands)
+        inside = seen[-1][3]
+        assert len(bands) > 1 and not inside[0] and not inside[-1]
+        assert np.array_equal(bands.view(np.uint64), np.array(_bands_per_slot(*seen[-1])).view(np.uint64))
 
 
 # ---------------------------------------------------------- finite eigenvalues

@@ -1,6 +1,7 @@
 """Words, substitutions, level words, complexity, palindromes, squares."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from qsturm.contfrac import ContinuedFraction, approximants
 from qsturm.errors import (
+    IntegerOverflow,
     LengthBudgetExceeded,
     NoCommonSite,
     NotPalindromicDecomposition,
@@ -93,6 +95,32 @@ def test_length_and_count_match_convergents(coeffs):
 def test_length_budget(fib_cf):
     with pytest.raises(LengthBudgetExceeded):
         sturmian_levels(fib_cf, 40, max_length=1000)
+
+
+def test_prefix_budget_fails_before_allocating(fib_cf, fib_spec):
+    # One symbol past DEFAULT_LENGTH_BUDGET is refused before any word is
+    # built: a 5e7-symbol word would take 200 MB.
+    over = DEFAULT_LENGTH_BUDGET + 1
+    calls = [(lambda: characteristic_prefix(fib_cf, over),
+              f"requested length {over} exceeds budget {DEFAULT_LENGTH_BUDGET}"),
+             (lambda: qs_prefix(fib_spec, over), f"window end {over} exceeds budget {DEFAULT_LENGTH_BUDGET}"),
+             (lambda: qs_prefix(fib_spec, 1, shift=DEFAULT_LENGTH_BUDGET),
+              f"window end {over} exceeds budget {DEFAULT_LENGTH_BUDGET}")]
+    for call, message in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(LengthBudgetExceeded, match=f"^{message}$"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+
+
+def test_characteristic_prefix_refuses_overflowing_level():
+    # |s_2| = 2^64 + 1 does not fit 64 bits: refused before it is built
+    with pytest.raises(IntegerOverflow, match=r"^convergent q_2 exceeds 64-bit range$"):
+        characteristic_prefix(ContinuedFraction((1, 2**64)), 5)
 
 
 def test_characteristic_prefix_is_common_prefix(fib_cf):
@@ -305,15 +333,15 @@ def _rotations(wb: bytes) -> set:
     return {doubled[i:i + ell] for i in range(ell)}
 
 
-def _find_squares_scan(spec, shift, n_max, max_length=DEFAULT_LENGTH_BUDGET):
+def _find_squares_scan(spec, shift, n_max):
     """Oracle: the per-site scan find_squares ran before the linear one."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    primes = level_words_prime(spec, n_max, max_length=max_length)
+    primes = level_words_prime(spec, n_max)
     ell_max = len(primes[n_max + 1]) + len(primes[n_max])
     window = 4 * len(primes[n_max + 1])
     scan_len = window + 2 * ell_max + 1
-    u = qs_prefix(spec, scan_len, shift=shift, max_length=max_length)
+    u = qs_prefix(spec, scan_len, shift=shift)
     ub = u.to_bytes()
 
     per_level = []
