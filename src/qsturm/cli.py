@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .decompose import cassaigne_decompose, decomposition_to_json, detect_qs, rotation_number
 from .errors import QsturmError
-from .spectrum import measure_report, periodic_bands, stable_set
+from .spectrum import energy_window, measure_report, periodic_bands, stable_set
 from .tracemap import classify_orbit, in_escape, invariant, orbit_trace
 from .transfer import gordon_residual, growth_exponents, lyapunov_many
 from .words import ModelSpec, complexity, find_squares, level_words_prime, qs_prefix, sturmian_levels
@@ -165,8 +165,6 @@ def _cmd_spectrum(spec, args, out: Output):
 
 
 def _cmd_lyapunov(spec, args, out: Output):
-    from .spectrum import energy_window
-
     if args.grid < 1:
         raise ValueError(f"--grid must be at least 1, got {args.grid}")
     lo, hi = energy_window(spec)

@@ -76,15 +76,9 @@ def approximants(cf: ContinuedFraction, n: int) -> Tuple[int, int]:
     """Convergent (p_n, q_n) via p_n = a_n p_{n-1} + p_{n-2}, exactly in integers."""
     if n < 0:
         raise IndexBeyondCoefficients(f"approximant index must be >= 0, got {n}")
-    p_prev, p = 0, 1  # p_0, p_1
-    q_prev, q = 1, None
-    if n == 0:
-        return 0, 1
-    a1 = cf.coefficient(1)
-    q = a1
-    if n == 1:
-        return p, q
-    for i in range(2, n + 1):
+    p_prev, p = 1, 0  # p_{-1}, p_0
+    q_prev, q = 0, 1  # q_{-1}, q_0
+    for i in range(1, n + 1):
         a = cf.coefficient(i)
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q

@@ -30,7 +30,11 @@ class _BandListFields(NamedTuple):
 
 
 class BandList(_BandListFields):
-    """Sorted disjoint closed energy intervals with provenance."""
+    """Sorted disjoint closed energy intervals with provenance.
+
+    merged: fewer than |s'_n| bands were resolved, because some bands touch
+    or are narrower than a grid cell.
+    """
 
     __slots__ = ()
 
@@ -65,8 +69,8 @@ def energy_window(spec: ModelSpec) -> Tuple[float, float]:
 def periodic_bands(spec: ModelSpec, n: int, tol: float = 1e-10) -> BandList:
     """sigma(H_n) = {E : |tr M_E(n)| <= 2} for the |s'_n|-periodic approximant.
 
-    Band edges are located by sign-change bisection of |tau| - 2 on a seed
-    grid of at least 8 |s'_n| points, refined to tol.
+    Band edges are located by sign-change bisection of |tau| - 2 on one grid
+    of max(128 |s'_n|, 16384) cells over the energy window, refined to tol.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -74,26 +78,11 @@ def periodic_bands(spec: ModelSpec, n: int, tol: float = 1e-10) -> BandList:
         raise ValueError("tol must be > 0")
     expected = len(level_words_prime(spec, n)[n + 1])
     lo, hi = energy_window(spec)
-
-    # Each retry doubles the grid; linspace(lo, hi, 2N + 1)[::2] equals
-    # linspace(lo, hi, N + 1) bitwise, so only the new points are evaluated.
-    seed = max(8 * expected, 1024)
-    grid = np.linspace(lo, hi, seed + 1)
+    cells = max(128 * expected, 16384)
+    grid = np.linspace(lo, hi, cells + 1)
     inside = _in_band(spec, n, grid)
-    count, prev_count = len(_runs(inside)[0]), -1
-    for _retry in range(4):
-        if count >= expected or count == prev_count:
-            break  # all found, or touching bands merge and the count is stable
-        seed *= 2
-        grid = np.linspace(lo, hi, seed + 1)
-        finer = np.empty(seed + 1, dtype=bool)
-        finer[::2] = inside
-        finer[1::2] = _in_band(spec, n, grid[1::2])
-        inside, prev_count, count = finer, count, len(_runs(finer)[0])
-    if not count:
-        raise GridTooCoarse(
-            f"no bands found for level {n} on a {seed}-point grid"
-        )
+    if not inside.any():
+        raise GridTooCoarse(f"no bands found for level {n} on a {cells}-cell grid")
     bands = _bands_from_indicator(spec, n, grid, inside, tol)
     merged = len(bands) < expected
     return BandList(tuple(bands), level=f"periodic:{n}", merged=merged)
@@ -101,14 +90,14 @@ def periodic_bands(spec: ModelSpec, n: int, tol: float = 1e-10) -> BandList:
 
 def _in_band(spec, n, energies) -> np.ndarray:
     """|tr M_E(n)| <= 2, elementwise."""
-    # Entries overflow only where |tr M_E(n)| >> 2, that is outside every band.
+    # Entries overflow only where |tr M_E(n)| >> 2, that is outside every
+    # band; there the half trace is inf or nan and the comparison is False.
     with np.errstate(over="ignore", invalid="ignore"):
-        g = np.abs(2.0 * half_traces_many(spec, energies, n)) - 2.0
-    return np.isfinite(g) & (g <= 0.0)
+        return np.abs(half_traces_many(spec, energies, n)) <= 1.0
 
 
 def _bands_from_indicator(spec, n, grid, inside, tol) -> List[Tuple[float, float]]:
-    """Assemble bands from the seed-grid indicator, bisecting both edges of
+    """Assemble bands from the grid indicator, bisecting both edges of
     every run at once between the run's end points and their outer neighbours.
 
     sigma(H_n) lies ENERGY_MARGIN inside the window, so no run reaches its ends.

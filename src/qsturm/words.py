@@ -14,9 +14,8 @@ from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .contfrac import _OVERFLOW_LIMIT, ContinuedFraction, approximants
+from .contfrac import ContinuedFraction, approximants
 from .errors import (
-    IntegerOverflow,
     LengthBudgetExceeded,
     NoCommonSite,
     NotPalindromicDecomposition,
@@ -254,8 +253,7 @@ AB = ("a", "b")
 
 
 def _sturmian_words(cf: ContinuedFraction):
-    """s_{-1}, s_0, s_1, ... of the Sturmian recursion, one level at a time;
-    like approximants, it refuses a level longer than 64 bits can count."""
+    """s_{-1}, s_0, s_1, ... of the Sturmian recursion, one level at a time."""
     a_word = Word.from_str("a", AB)
     b_word = Word.from_str("b", AB)
     yield a_word
@@ -263,10 +261,7 @@ def _sturmian_words(cf: ContinuedFraction):
     prev, cur = b_word, b_word * (cf.coefficient(1) - 1) + a_word
     for n in itertools.count(2):
         yield cur
-        a_n = cf.coefficient(n)
-        if len(cur) * a_n + len(prev) >= _OVERFLOW_LIMIT:
-            raise IntegerOverflow(f"convergent q_{n} exceeds 64-bit range")
-        prev, cur = cur, cur * a_n + prev
+        prev, cur = cur, cur * cf.coefficient(n) + prev
 
 
 def sturmian_levels(cf: ContinuedFraction, n_max: int,
@@ -284,14 +279,22 @@ def sturmian_levels(cf: ContinuedFraction, n_max: int,
 
 
 def characteristic_prefix(cf: ContinuedFraction, length: int) -> Word:
-    """First `length` symbols of c_theta = lim s_n, cut from the first s_n (n >= 1) that long."""
+    """First `length` symbols of c_theta = lim s_n.
+
+    c_theta starts with s_{n+1}, which starts with s_n^k for every k <= a_{n+1}
+    (k <= a_1 - 1 for n = 0); the prefix is cut from s_n^k at the first n where
+    k = ceil(length / |s_n|) is allowed, so no much longer level is built.
+    """
     if length < 1:
         raise ValueError("length must be >= 1")
     if length > DEFAULT_LENGTH_BUDGET:
         raise LengthBudgetExceeded(f"requested length {length} exceeds budget {DEFAULT_LENGTH_BUDGET}")
-    for s in itertools.islice(_sturmian_words(cf), 2, None):
-        if len(s) >= length:
-            return s[:length]
+    for n, s in enumerate(itertools.islice(_sturmian_words(cf), 1, None)):
+        if n >= 1 and len(s) >= length:
+            return s[:length]  # before reading a_{n+1}, which may not exist
+        k = -(-length // len(s))
+        if k <= cf.coefficient(n + 1) - (n == 0):
+            return (s * k)[:length]
 
 
 def level_words_prime(spec: ModelSpec, n_max: int) -> List[Word]:

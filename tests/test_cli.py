@@ -160,6 +160,15 @@ def test_transport_commands_emit_no_runtime_warning(model, capsys):
               for e in [BENCH_CENTRES[model]] + ESCAPING[model]]
     argvs += [["gordon", path, "--energy", E, "--nmax", str(n), "--shift", str(shift)]
               for n in GORDON_NMAX[model] for shift in (0, 97)]
+    # and every other subcommand, at short lengths
+    argvs += [["generate", path, "--length", "500", "--shift", "97"],
+              ["generate", path, "--levels", "6"],
+              ["complexity", path, "--length", "5000"],
+              ["decompose", path, "--length", "5000"],
+              ["tracemap", path, "--energy", E],
+              ["tracemap", path, "--energy", "3.3"],
+              ["bands", path, "--level", "6"],
+              ["spectrum", path, "--grid", "400", "--levels", "12", "--nrange", "3:6"]]
     for argv in argvs:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)

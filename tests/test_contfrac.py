@@ -58,6 +58,9 @@ def test_overflow_guard():
     cf = ContinuedFraction((), (10,))
     with pytest.raises(IntegerOverflow):
         approximants(cf, 100)
+    # q_1 = a_1 is refused like every later denominator
+    with pytest.raises(IntegerOverflow, match=r"^convergent q_1 exceeds 64-bit range$"):
+        approximants(ContinuedFraction((2**64,)), 1)
 
 
 def test_expand_golden_mean():

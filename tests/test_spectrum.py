@@ -1,6 +1,5 @@
 """Band spectra, stable-set sweeps, finite eigenvalues, measure reports."""
 
-import json
 import math
 import os
 import subprocess
@@ -110,25 +109,16 @@ def test_band_edges_are_floquet_eigenvalues(model, n_max, request):
     for n in range(1, n_max + 1):
         word = level_words_prime(spec, n)[n + 1]
         oracle = _floquet_edges(spec.potential_values(word))
-        edges = np.array(periodic_bands(spec, n).bands).ravel()
-        nearest = np.abs(edges[:, None] - oracle[None, :]).min(axis=1)
+        bands = np.array(periodic_bands(spec, n).bands)
+        nearest = np.abs(bands.ravel()[:, None] - oracle[None, :]).min(axis=1)
         assert nearest.max() <= 1e-9, (model, n)
-
-
-@pytest.mark.parametrize("name", ["fibonacci", "q5", "digits", "prefixed"])
-def test_doubled_grid_contains_the_coarse_grid(name):
-    # periodic_bands evaluates only the new points when it doubles its grid.
-    from qsturm.words import level_words_prime
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "models" / f"{name}.json"
-    spec = ModelSpec.from_json(json.loads(path.read_text()))
-    lo, hi = energy_window(spec)
-    n_max = 10 if name == "digits" else 14
-    for word in level_words_prime(spec, n_max)[2:]:
-        seed = max(8 * len(word), 1024)
-        for retry in range(4):
-            N = seed << retry
-            coarse = np.linspace(lo, hi, N + 1)
-            assert np.array_equal(np.linspace(lo, hi, 2 * N + 1)[::2], coarse), (name, N)
+        # Sorted edges pair up into the p bands; none wider than a grid cell
+        # may be missing from the result.
+        lo, hi = energy_window(spec)
+        wide = oracle[1::2] - oracle[0::2] > (hi - lo) / 16384
+        met = [np.any((bands[:, 0] <= b_hi) & (bands[:, 1] >= b_lo))
+               for b_lo, b_hi in zip(oracle[0::2][wide], oracle[1::2][wide])]
+        assert all(met), (model, n, met.count(False))
 
 
 def test_bad_arguments(fib_spec):

@@ -117,10 +117,27 @@ def test_prefix_budget_fails_before_allocating(fib_cf, fib_spec):
         assert peak < 2**20, peak
 
 
-def test_characteristic_prefix_refuses_overflowing_level():
+def test_sturmian_levels_refuses_overflowing_level():
     # |s_2| = 2^64 + 1 does not fit 64 bits: refused before it is built
     with pytest.raises(IntegerOverflow, match=r"^convergent q_2 exceeds 64-bit range$"):
-        characteristic_prefix(ContinuedFraction((1, 2**64)), 5)
+        sturmian_levels(ContinuedFraction((1, 2**64)), 2)
+
+
+@pytest.mark.parametrize("coeffs,expected", [((1, 2**40), "aaaaa"), ((2**64, 1), "bbbbb")],
+                         ids=["huge_a2", "huge_a1"])
+def test_qs_prefix_builds_no_level_longer_than_needed(coeffs, expected):
+    # s_2 = a^(2^40) b and s_1 = b^(2^64 - 1) a: both prefixes are cut from
+    # a power of the level below, and neither level is built.
+    spec = ModelSpec(ContinuedFraction(coeffs), Substitution.identity(),
+                     Word.from_str("", ("a", "b")), {"a": 1.0, "b": 0.0})
+    tracemalloc.start()
+    try:
+        word = qs_prefix(spec, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert word.to_str() == expected
+    assert peak < 2**20, peak
 
 
 def test_characteristic_prefix_is_common_prefix(fib_cf):
