@@ -65,7 +65,11 @@ class Output:
 
 def _load_spec(path: str) -> ModelSpec:
     with open(path) as fh:
-        return ModelSpec.from_json(json.load(fh))
+        d = json.load(fh)
+    try:
+        return ModelSpec.from_json(d)
+    except (KeyError, TypeError, AttributeError) as e:
+        raise ValueError(f"{path}: malformed model ({type(e).__name__}: {e})") from None
 
 
 def _emit(out: Output, out_path: Optional[str]):
@@ -276,7 +280,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.func(spec, args, out)
         _emit(out, args.out)
         return 0
-    except (QsturmError, OSError, ValueError, json.JSONDecodeError) as e:
+    except (QsturmError, OSError, ValueError, MemoryError) as e:
         sys.stderr.write(f"error: {type(e).__name__}: {e}\n")
         return 1
 

@@ -176,17 +176,32 @@ def _spectral_norms(m11, m12, m21, m22):
     return np.ldexp(np.sqrt(np.maximum(0.5 * (t + np.sqrt(disc)), 0.0)), e)
 
 
-def _recur(rows: List[np.ndarray], d) -> None:
-    """Three-term recursion x_{k+1} = d_k x_k - x_{k-1} on lanes.
+def _sweep(lanes: np.ndarray, v: np.ndarray, x_prev, x0, C: int) -> Iterator[Tuple[np.ndarray, int]]:
+    """Three-term recursion x_{k+1} = (lane - v_k) x_k - x_{k-1} on lanes, C
+    sites at a time.
 
-    rows[0] and rows[1] hold x_{-1} and x_0; rows[k + 2] receives x_{k+1}
-    for each d_k in d, with d_k broadcast against the lanes. Two in-place
-    ufunc calls per site, so the arithmetic is that of d * x - x_prev.
+    Rows 0 and 1 of a (C + 2, lanes) buffer start as x_prev and x0, and for
+    each chunk of c sites row k + 2 receives x_{k+1}: two in-place ufunc
+    calls per site, so the arithmetic is that of d * x - x_prev with
+    d = lane - v_k. Yields (buf, c) after each chunk; on resume rows c and
+    c + 1 carry into rows 0 and 1, so a caller may rescale them in place
+    first. An empty v yields one chunk of no sites, so a caller always sees
+    the buffer.
     """
+    buf = np.empty((C + 2, len(lanes)))
+    buf[0], buf[1] = x_prev, x0
+    d = np.empty((C, len(lanes)))
+    rows = list(buf)
+    steps = list(zip(d, rows, rows[1:], rows[2:]))
     mul, sub = np.multiply, np.subtract
-    for dk, prev, cur, nxt in zip(d, rows, rows[1:], rows[2:]):
-        mul(dk, cur, out=nxt)
-        sub(nxt, prev, out=nxt)
+    for start in range(0, len(v) or 1, C):
+        c = min(C, len(v) - start)
+        np.subtract(lanes, v[start:start + c, None], out=d[:c])
+        for dk, prev, cur, nxt in steps[:c]:
+            mul(dk, cur, out=nxt)
+            sub(nxt, prev, out=nxt)
+        yield buf, c
+        buf[:2] = buf[c:c + 2]
 
 
 def lyapunov_many(spec: ModelSpec, energies: np.ndarray, L: int, shift: int = 0) -> np.ndarray:
@@ -203,26 +218,15 @@ def lyapunov_many(spec: ModelSpec, energies: np.ndarray, L: int, shift: int = 0)
     # Lanes :K run the chain (m21, m11) and lanes K: the chain (m22, m12):
     # row k of a chunk holds (m11, m12) after k - 1 of its sites, and rows
     # 0 and 1 start as (m21, m22) and (m11, m12).
-    buf = np.empty((C + 2, 2 * K))
-    buf[0, :K], buf[0, K:] = 0.0, 1.0
-    buf[1, :K], buf[1, K:] = 1.0, 0.0
-    rows = list(buf)
-    lanes = np.concatenate((energies, energies))
-    d = np.empty((C, 2 * K))
-    d_rows = list(d)
     logsum = np.zeros(K)
-    for start in range(0, L, C):
-        c = min(C, L - start)
-        np.subtract(lanes, v[start:start + c, None], out=d[:c])
-        _recur(rows, d_rows[:c])
-        end = buf[c:c + 2].reshape(4, K)
+    for buf, c in _sweep(np.tile(energies, 2), v, np.repeat([0.0, 1.0], K),
+                         np.repeat([1.0, 0.0], K), C):
         if c == C:
+            end = buf[c:c + 2].reshape(4, K)
             scale = np.abs(end).max(axis=0)
             scale = np.where(scale > 0, scale, 1.0)
-            np.divide(end, scale, out=buf[:2].reshape(4, K))
+            np.divide(end, scale, out=end)
             logsum += np.log(scale)
-        else:
-            buf[:2] = buf[c:c + 2]
     (m21, m22), (m11, m12) = buf[:2].reshape(2, 2, K)
     logsum += np.log(_spectral_norms(m11, m12, m21, m22))
     return logsum / L
@@ -250,24 +254,15 @@ def sturm_counts(diag: np.ndarray, energies: np.ndarray) -> Tuple[np.ndarray, np
     v = np.asarray(diag, dtype=float)
     energies = np.asarray(energies, dtype=float)
     K = len(energies)
-    C = _chunk_sites(energies, v)
-    buf = np.empty((C + 2, K))
-    buf[0], buf[1] = 0.0, 1.0
-    rows = list(buf)
-    d = np.empty((C, K))
-    d_rows = list(d)
     changes = np.zeros(K, dtype=np.intp)
     exponent = np.zeros(K, dtype=np.intp)
-    for start in range(0, len(v), C):
-        c = min(C, len(v) - start)
-        np.subtract(energies, v[start:start + c, None], out=d[:c])
-        _recur(rows, d_rows[:c])
+    for buf, c in _sweep(energies, v, 0.0, 1.0, _chunk_sites(energies, v)):
         # rows 1..c+1 hold x_start..x_{start+c}
         sign = np.signbit(buf[1:c + 2])
         changes += np.not_equal(sign[1:], sign[:-1]).view(np.uint8).sum(axis=0, dtype=np.intp)
         # Rescale by a power of two: exact, and it keeps every sign.
         _, e = np.frexp(np.maximum(np.abs(buf[c]), np.abs(buf[c + 1])))
-        np.ldexp(buf[c:c + 2], -e, out=buf[:2])
+        np.ldexp(buf[c:c + 2], -e, out=buf[c:c + 2])
         exponent += e
     with np.errstate(divide="ignore"):
         log_det = np.log(np.abs(buf[1])) + exponent * np.log(2.0)
@@ -366,27 +361,20 @@ def growth_exponents(spec: ModelSpec, E: float, shift: int, L_max: int) -> Growt
     if L_max < 1000:
         raise ValueError("growth_exponents requires L_max >= 1000")
     angles = np.pi * np.arange(_N_ANGLES) / _N_ANGLES
-    d = E - spec.potential_values(qs_prefix(spec, L_max + 1, shift=shift))
+    v = spec.potential_values(qs_prefix(spec, L_max, shift=shift))
     dyadic = [2**j for j in range(3, int(np.log2(L_max)) + 1)]
     if dyadic[-1] != L_max:
         dyadic.append(L_max)
     norms = np.empty((len(dyadic), _N_ANGLES))
-    C = _RENORM_EVERY
     # For a chunk after site n0, row k of buf holds phi(n0 + k) and row k of
     # sq the sum of phi(n)^2 over n <= n0 + k.
-    buf = np.empty((C + 2, _N_ANGLES))
-    buf[0] = np.cos(angles)
-    buf[1] = np.sin(angles)
-    rows = list(buf)
-    sq = np.empty((C + 1, _N_ANGLES))
-    sq[0] = buf[0] ** 2
-    idx = 0
+    sq = np.empty((_RENORM_EVERY + 1, _N_ANGLES))
+    sq[0] = np.cos(angles) ** 2
+    n0 = idx = 0
     escaped = False
     # Sites after an escape within a chunk may overflow; they are discarded.
     with np.errstate(over="ignore", invalid="ignore"):
-        for n0 in range(0, L_max, C):
-            c = min(C, L_max - n0)
-            _recur(rows, d[n0:n0 + c].tolist())
+        for buf, c in _sweep(np.full(_N_ANGLES, E), v, np.cos(angles), np.sin(angles), _RENORM_EVERY):
             np.square(buf[1:c + 1], out=sq[1:c + 1])
             np.add.accumulate(sq[:c + 1], axis=0, out=sq[:c + 1])
             # phi(n + 1) past the escape magnitude ends the scan after site n
@@ -400,8 +388,8 @@ def growth_exponents(spec: ModelSpec, E: float, shift: int, L_max: int) -> Growt
                 norms = norms[:idx]
                 dyadic = dyadic[:idx]
                 break
-            buf[:2] = buf[c:c + 2]
             sq[0] = sq[c]
+            n0 += c
     if len(dyadic) < 4:
         raise DegenerateFit("not enough dyadic scales before blow-up")
     lnL = np.log(np.asarray(dyadic, dtype=float))

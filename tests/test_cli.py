@@ -271,6 +271,37 @@ def test_invalid_json_errors(tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+_CF = '"cf": {"coeffs": [], "periodic": [1]}'
+_SUBST = '"substitution": {"a": "a", "b": "b"}'
+_POT = '"potential": {"a": 1.0, "b": 0.0}'
+
+
+@pytest.mark.parametrize("body", [
+    "{%s, %s}" % (_CF, _SUBST),                  # no potential
+    "{%s, %s}" % (_SUBST, _POT),                 # no cf
+    '{"cf": {}, %s, %s}' % (_SUBST, _POT),       # cf without coeffs
+    "[1, 2]",                                    # not an object
+    '{%s, "substitution": {"a": 5, "b": "b"}, %s}' % (_CF, _POT),  # image a number
+], ids=["no-potential", "no-cf", "empty-cf", "list", "int-image"])
+def test_malformed_model_errors(tmp_path, capsys, body):
+    p = tmp_path / "bad.json"
+    p.write_text(body)
+    code, out, err = run(["bands", str(p), "--level", "3"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ValueError: ") and err.count("\n") == 1
+
+
+def test_memory_error_is_one_line(fib_path, capsys, monkeypatch):
+    # A failed allocation (a huge --grid or --level) is reported, not traced.
+    def stable_set(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1 TiB")
+
+    monkeypatch.setattr("qsturm.cli.stable_set", stable_set)
+    code, out, err = run(["spectrum", fib_path], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: MemoryError: Unable to allocate 1 TiB\n"
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # qsturm depends on numpy alone; no CLI call pays for a scipy import.
     src = os.path.dirname(os.path.dirname(qsturm.__file__))

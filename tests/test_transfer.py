@@ -399,6 +399,24 @@ def test_sturm_counts_two_by_two_closed_form():
     # eigenvalues (a + b)/2 -+ sqrt(((a - b)/2)^2 + 1) = -1.7, 0.95
     assert counts.tolist() == [0, 1, 1, 1, 2]
     assert log_det == pytest.approx(np.log(np.abs((x - a) * (x - b) - 1.0)), abs=1e-14)
+    # the empty matrix: no eigenvalues, det = 1
+    counts, log_det = sturm_counts(np.array([]), x)
+    assert counts.tolist() == [0] * len(x) and log_det.tolist() == [0.0] * len(x)
+
+
+def test_sturm_counts_log_det_matches_dense(bench_specs):
+    # 1,000 sites are 16 chunks, so every rescale and carry between chunks
+    # reaches ln|det(E - T)|, which the Illinois steps of the eigenvalue
+    # solver read. Dense oracle: ln|det(E - T)| = sum of ln|E - lambda_i|.
+    for spec in bench_specs.values():
+        v = spec.potential_values(qs_prefix(spec, 1000, shift=97))
+        lam = np.linalg.eigvalsh(_jacobi(v))
+        x = np.linspace(v.min() - 3.0, v.max() + 3.0, 400)
+        x = x[np.abs(x[:, None] - lam).min(axis=1) > 1e-3]
+        counts, log_det = sturm_counts(v, x)
+        assert counts.tolist() == np.searchsorted(lam, x).tolist()
+        want = np.log(np.abs(x[:, None] - lam)).sum(axis=1)
+        assert np.abs(log_det - want).max() <= 1e-9
 
 
 @pytest.mark.parametrize("big", [1e8, 1e40])
