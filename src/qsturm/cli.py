@@ -118,6 +118,11 @@ def _cmd_decompose(spec, args, out: Output):
 _EPS = sys.float_info.epsilon
 
 
+def _finite_cell(x: float) -> float | str:
+    """x, or "unreliable" where its computation overflowed to inf or nan."""
+    return x if np.isfinite(x) else "unreliable"
+
+
 def _invariant_cell(t) -> float | str:
     """The invariant of a triple, or "unreliable" once the rounding error of
     its terms, about eps max(|x|, |y|, |z|)^3, reaches its size."""
@@ -137,7 +142,8 @@ def _cmd_tracemap(spec, args, out: Output):
     }
     out.header(["level", "x", "y", "z", "invariant", "in_escape"])
     for n, t in enumerate(orbit, start=1):
-        out.row(str(n), t.x, t.y, t.z, _invariant_cell(t), str(in_escape(t)).lower())
+        escape = str(in_escape(t)).lower() if all(map(math.isfinite, t)) else "unreliable"
+        out.row(str(n), *map(_finite_cell, t), _invariant_cell(t), escape)
 
 
 def _cmd_bands(spec, args, out: Output):
@@ -177,11 +183,6 @@ def _cmd_lyapunov(spec, args, out: Output):
     out.header(["E", "gamma"])
     for e, g in zip(grid, gammas):
         out.row(e, g)
-
-
-def _finite_cell(x: float) -> float | str:
-    """x, or "unreliable" where its computation overflowed to inf or nan."""
-    return x if np.isfinite(x) else "unreliable"
 
 
 def _cmd_gordon(spec, args, out: Output):

@@ -1,5 +1,6 @@
-"""The quasi-Sturmian trace map: Chebyshev-form step, group generators,
-elementary-block orbits, conserved invariant, and escape classification.
+"""The quasi-Sturmian trace map: the level step (square-and-multiply, O(log
+a_n) per level), group generators, elementary-block orbits, conserved
+invariant, and escape classification.
 """
 
 from __future__ import annotations
@@ -8,15 +9,8 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from .transfer import TraceTriple, _batches, _power, _trace_step, initial_triple, initial_triple_many
 from .words import ModelSpec
-
-
-class TraceTriple(NamedTuple):
-    """Half-trace triple (x, y, z)."""
-
-    x: float
-    y: float
-    z: float
 
 
 class OrbitVerdict(NamedTuple):
@@ -37,26 +31,18 @@ class OrbitVerdict(NamedTuple):
 
 
 def chebyshev(m: int, x: float) -> float:
-    """Second-kind Chebyshev value U_m(x): U_{-1}=0, U_0=1, upward recursion."""
+    """Second-kind Chebyshev value U_m(x), m >= -1: the (2, 1) entry of
+    [[2x, -1], [1, 0]]^{m+1}."""
     if m < -1:
         raise ValueError("chebyshev requires m >= -1")
-    if m == -1:
-        return 0.0 * x
-    prev, cur = 0.0 * x, 1.0 + 0.0 * x
-    for _ in range(m):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur
+    return _power((2.0 * x, -1.0, 1.0, 0.0), m + 1)[2]
 
 
 def step(a_next: int, t: TraceTriple) -> TraceTriple:
     """One trace-map level: (x,y,z) -> (y, z U_{a-1}(y) - x U_{a-2}(y), z U_a(y) - x U_{a-1}(y))."""
     if a_next < 1:
         raise ValueError("coefficient must be >= 1")
-    x, y, z = t
-    u_m2 = chebyshev(a_next - 2, y)
-    u_m1 = chebyshev(a_next - 1, y)
-    u_0 = 2.0 * y * u_m1 - u_m2  # U_a
-    return TraceTriple(y, z * u_m1 - x * u_m2, z * u_0 - x * u_m1)
+    return TraceTriple(*_trace_step(a_next, *t))
 
 
 def generators(name: str, t: TraceTriple) -> TraceTriple:
@@ -123,8 +109,6 @@ def classify_many(spec: ModelSpec, energies: np.ndarray, n_levels: int
 
 def _classify(spec: ModelSpec, energies: np.ndarray, n_levels: int):
     """classify_many plus the mask of orbits stopped by overflow."""
-    from .transfer import _batches, initial_triple_many
-
     if n_levels < 2:
         raise ValueError("n_levels must be >= 2")
     K = len(energies)
@@ -142,7 +126,7 @@ def _classify(spec: ModelSpec, energies: np.ndarray, n_levels: int):
             for n in range(2, n_levels + 1):
                 if not idx.size:
                     break
-                x, y, z = step(spec.cf.coefficient(n), TraceTriple(x, y, z))
+                x, y, z = _trace_step(spec.cf.coefficient(n), x, y, z)
                 biggest = np.maximum(np.abs(x), np.maximum(np.abs(y), np.abs(z)))
                 blown = ~np.isfinite(biggest) | (biggest > OVERFLOW_THRESHOLD)
                 new = blown | in_escape(TraceTriple(x, y, z))
@@ -159,8 +143,6 @@ def _classify(spec: ModelSpec, energies: np.ndarray, n_levels: int):
 
 def orbit_trace(spec: ModelSpec, E: float, n_levels: int) -> List[TraceTriple]:
     """Per-level triples (x_E(n), y_E(n), z_E(n)) for n = 1..n_levels."""
-    from .transfer import initial_triple
-
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
     # A huge |E| overflows the level matrices; the orbit then reads nan.

@@ -1,6 +1,6 @@
-"""Transfer matrices over words and levels, Lyapunov estimates, Sturm
-counts of finite truncations, solution propagation, local norms, Gordon
-residuals, and solution growth exponents.
+"""Transfer matrices over words and levels, half traces by the trace-map
+step, Lyapunov estimates, Sturm counts of finite truncations, solution
+propagation, local norms, Gordon residuals, and solution growth exponents.
 
 Matrices are plain 2x2 float numpy arrays, or over an energy array four entry
 arrays (m11, m12, m21, m22); products apply the matrix of the FIRST symbol of
@@ -9,13 +9,11 @@ a word first (rightmost factor in the product).
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 
 from .errors import DegenerateFit, OutOfRange, ZeroInitialCondition
-from .tracemap import TraceTriple
 from .words import ModelSpec, Word, level_words_prime, qs_prefix
 
 
@@ -40,6 +38,14 @@ def level_matrices(spec: ModelSpec, E: float, n_max: int) -> List[np.ndarray]:
     use M(n) = M(n-2) M(n-1)^{a_n}.
     """
     return [M[0] for M in level_matrices_many(spec, np.array([E], dtype=float), n_max)]
+
+
+class TraceTriple(NamedTuple):
+    """Half-trace triple (x, y, z)."""
+
+    x: float
+    y: float
+    z: float
 
 
 def initial_triple(spec: ModelSpec, E: float) -> TraceTriple:
@@ -76,43 +82,45 @@ def _mul(A: Entries, B: Entries) -> Entries:
 
 
 def _power(M: Entries, k: int) -> Entries:
-    """M^k for k >= 1 by square-and-multiply; M itself when k = 1."""
+    """M^k for k >= 0 by square-and-multiply; M itself when k = 1, and the
+    identity (scalar entries) when k = 0."""
     result = None
     while True:
         if k & 1:
             result = M if result is None else _mul(M, result)
         k >>= 1
         if not k:
-            return result
+            return (1.0, 0.0, 0.0, 1.0) if result is None else result
         M = _mul(M, M)
-
-
-def _levels(spec: ModelSpec, energies: np.ndarray) -> Iterator[Entries]:
-    """M(-1), M(0), M(1), ... over an energy array; only two levels stay live."""
-    energies = np.asarray(energies, dtype=float)
-    f = spec.potential
-    words = level_words_prime(spec, 1)
-    yield _word_entries(energies, words[0], f)
-    prev = _word_entries(energies, words[1], f)
-    yield prev
-    cur = _word_entries(energies, words[2], f)
-    for n in itertools.count(2):
-        yield cur
-        prev, cur = cur, _mul(prev, _power(cur, spec.cf.coefficient(n)))
 
 
 def level_matrices_many(spec: ModelSpec, energies: np.ndarray, n_max: int) -> List[np.ndarray]:
     """level_matrices over an energy array; each entry has shape (K, 2, 2)."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    return [_stack(m) for m in itertools.islice(_levels(spec, energies), n_max + 2)]
+    energies = np.asarray(energies, dtype=float)
+    mats = [_word_entries(energies, w, spec.potential) for w in level_words_prime(spec, 1)]
+    for n in range(2, n_max + 1):
+        mats.append(_mul(mats[-2], _power(mats[-1], spec.cf.coefficient(n))))
+    return [_stack(m) for m in mats]
+
+
+def _trace_step(a: int, x, y, z):
+    """One trace-map level, elementwise: (x, y, z) -> (y, z U_{a-1}(y) -
+    x U_{a-2}(y), z U_a(y) - x U_{a-1}(y)).
+
+    U_{a-1} and U_{a-2} are the left column of [[2y, -1], [1, 0]]^{a-1}, so a
+    level costs O(log a) products, as M(n-1)^{a_n} does.
+    """
+    y2 = 2.0 * y
+    u1, _, u2, _ = _power((y2, -1.0, 1.0, 0.0), a - 1)
+    return y, z * u1 - x * u2, z * (y2 * u1 - u2) - x * u1
 
 
 # Energies per batch of the grid kernels (half_traces_many,
 # initial_triple_many, tracemap.classify_many): the per-energy temporaries
-# of a level product or an orbit step are held for one batch at a time, so
-# the working set does not grow with the grid. Chosen by measurement; see
-# CHANGES.md.
+# of an orbit step are held for one batch at a time, so the working set
+# does not grow with the grid. Chosen by measurement; see CHANGES.md.
 _BATCH = 8192
 
 
@@ -124,22 +132,28 @@ def _batches(energies: np.ndarray) -> List[slice]:
 def initial_triple_many(spec: ModelSpec, energies: np.ndarray
                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     energies = np.asarray(energies, dtype=float)
+    f = spec.potential
+    _, w0, w1 = level_words_prime(spec, 1)
     out = np.empty((3, len(energies)))
     for s in _batches(energies):
-        _, m0, m1 = itertools.islice(_levels(spec, energies[s]), 3)
-        prod = _mul(m1, m0)
-        for row, m in zip(out, (m0, m1, prod)):
+        m0, m1 = _word_entries(energies[s], w0, f), _word_entries(energies[s], w1, f)
+        for row, m in zip(out, (m0, m1, _mul(m1, m0))):
             np.multiply(0.5, m[0] + m[3], out=row[s])
     return out[0], out[1], out[2]
 
 
 def half_traces_many(spec: ModelSpec, energies: np.ndarray, n: int) -> np.ndarray:
-    """y_E(n) = tr(M_E(n)) / 2 over an energy array, _BATCH energies at a time."""
+    """y_E(n) = tr(M_E(n)) / 2 over an energy array: the trace-map orbit of
+    the initial triple, _BATCH energies at a time."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     energies = np.asarray(energies, dtype=float)
     out = np.empty(len(energies))
     for s in _batches(energies):
-        m11, _, _, m22 = next(itertools.islice(_levels(spec, energies[s]), n + 1, None))
-        np.multiply(0.5, m11 + m22, out=out[s])
+        x, y, z = initial_triple_many(spec, energies[s])
+        for k in range(2, n + 1):
+            x, y, z = _trace_step(spec.cf.coefficient(k), x, y, z)
+        out[s] = y
     return out
 
 

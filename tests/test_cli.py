@@ -150,6 +150,42 @@ def test_tracemap_huge_energy_escapes_without_warning(energy, capsys):
     assert json.loads(out)["verdict"]["kind"] == "escaped"
 
 
+def _tracemap_rows(argv, capsys):
+    code, out, _ = run(["tracemap", *argv], capsys)
+    assert code == 0
+    return [line.split(",") for line in out.splitlines()
+            if line and not line.startswith(("#", "level"))]
+
+
+@pytest.mark.parametrize("model,energy,first_overflow", [("fibonacci", "0.3", 16), ("q5", "1e200", 1)])
+def test_tracemap_marks_overflowed_rows_unreliable(model, energy, first_overflow, capsys):
+    # fibonacci at 0.3 escapes at level 2 and overflows from level 16 on; q5
+    # at 1e200 overflows in the initial triple. No inf or nan is printed, and
+    # an overflowed row claims no escape-set membership either way.
+    rows = _tracemap_rows([str(BENCH_MODELS / f"{model}.json"), "--energy", energy], capsys)
+    assert len(rows) == 30
+    for n, row in enumerate(rows, start=1):
+        cells = row[1:4]
+        assert not {"inf", "-inf", "nan"} & set(row)
+        if n < first_overflow:
+            assert all(math.isfinite(float(c)) for c in cells) and row[5] in ("true", "false")
+        else:
+            assert "unreliable" in cells and row[5] == "unreliable"
+
+
+def test_tracemap_large_coefficient_is_fast(tmp_path, capsys):
+    # a_2 = 10^7: the level step costs O(log a_2) products, and the invariant
+    # lambda^2 / 4 = 0.25 survives the U_{a-1}(y) of a 10^7-th power.
+    model = dict(FIB_MODEL, cf={"coeffs": [1, 10_000_000], "periodic": [1]},
+                 potential={"a": 1.0, "b": 0.0})
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(model))
+    rows = _tracemap_rows([str(path), "--energy", "0.3"], capsys)
+    assert len(rows) == 30
+    bounded = [float(r[4]) for r in rows if r[4] != "unreliable"]
+    assert len(bounded) >= 9 and max(abs(i - 0.25) for i in bounded) <= 1e-9
+
+
 @pytest.mark.parametrize("model", sorted(BENCH_CENTRES))
 def test_transport_commands_emit_no_runtime_warning(model, capsys):
     path = str(BENCH_MODELS / f"{model}.json")

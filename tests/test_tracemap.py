@@ -1,12 +1,19 @@
 """Trace-map step, generators, invariant conservation, escape classification."""
 
+import ast
+import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qsturm
+import qsturm.transfer
 from qsturm.tracemap import (
     OVERFLOW_THRESHOLD,
     TraceTriple,
@@ -72,6 +79,31 @@ def test_step_a1_is_basic_map():
 def test_step_rejects_bad_coefficient():
     with pytest.raises(ValueError):
         step(0, TraceTriple(0, 0, 0))
+
+
+def test_step_costs_log_a_products(monkeypatch):
+    # U_{a-1} and U_{a-2} come from one square-and-multiply power, as
+    # M(n-1)^{a_n} does: 23 squarings and 13 multiplications for a = 10^7.
+    products = []
+    mul = qsturm.transfer._mul
+    monkeypatch.setattr(qsturm.transfer, "_mul", lambda A, B: products.append(1) or mul(A, B))
+    a = 10**7
+    step(a, TraceTriple(0.3, -0.4, 0.9))
+    assert 0 < len(products) <= 2 * math.ceil(math.log2(a))
+
+
+@pytest.mark.parametrize("y", [-0.93, -0.31, 0.123, 0.5, 0.999])
+def test_chebyshev_high_degree_trigonometric_form(y):
+    # Oracle: U_{a-1}(cos phi) = sin(a phi) / sin(phi) in 40 digits. The
+    # rounding of a 10^7-th power grows like a eps; the worst seen is 2.8e-7,
+    # at y = 0.999 and a = 10^7.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        phi = mpmath.acos(mpmath.mpf(y))
+        for a in (1, 2, 3, 17, 1000, 123_457, 10**6, 10**7):
+            want = mpmath.sin(a * phi) / mpmath.sin(phi)
+            err = abs(mpmath.mpf(chebyshev(a - 1, y)) - want)
+            assert err <= 1e-6 * max(1.0, abs(want)), (a, float(err))
 
 
 @given(triples)
@@ -240,3 +272,34 @@ def test_overflow_counts_as_escape(fib_spec):
     v = classify_orbit(fib_spec, 100.0, 40)
     assert v.kind == "escaped"
     assert math.isfinite(v.sup_norm)
+
+
+# ------------------------------------------------------------------- layering
+
+SRC = Path(qsturm.__file__).resolve().parent
+
+
+def test_no_module_imports_inside_a_function():
+    nested = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert nested == []
+
+
+def test_tracemap_loads_without_spectrum_or_cli():
+    # The package __init__ imports every module, so a bare package stands in
+    # for it: what is loaded is then what tracemap itself imports.
+    code = ("import json, sys, types\n"
+            "pkg = types.ModuleType('qsturm')\n"
+            "pkg.__path__ = [sys.argv[1]]\n"
+            "sys.modules['qsturm'] = pkg\n"
+            "import qsturm.tracemap\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('qsturm.'))))\n")
+    done = subprocess.run([sys.executable, "-c", code, str(SRC)],
+                          capture_output=True, text=True, check=True)
+    loaded = set(json.loads(done.stdout))
+    assert {"qsturm.tracemap", "qsturm.transfer"} <= loaded
+    assert not {"qsturm.spectrum", "qsturm.cli"} & loaded

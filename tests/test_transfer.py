@@ -1,5 +1,6 @@
 """Transfer matrices, Lyapunov estimates, solutions, Gordon residuals."""
 
+import decimal
 import json
 import math
 import re
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from qsturm.cli import main
 from qsturm.errors import DegenerateFit, OutOfRange, ZeroInitialCondition
 from qsturm.spectrum import energy_window
+from qsturm.tracemap import orbit_trace
 from qsturm.transfer import (
     _BATCH,
     GordonResult,
@@ -35,7 +37,7 @@ from qsturm.transfer import (
     sturm_counts,
     word_matrix,
 )
-from qsturm.words import ModelSpec, Word, find_squares, qs_prefix
+from qsturm.words import ModelSpec, Word, find_squares, level_words_prime, qs_prefix
 
 BENCH_MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "models"
 # The approximant levels of the benchmark's `bands` ops, one per model.
@@ -131,20 +133,55 @@ def test_level_matrices_many_match_site_products(model, top, request):
 @pytest.mark.parametrize("K", BATCH_SIZES)
 def test_batched_traces_match_level_stacks(bench_specs, K):
     # Bit for bit: batching cuts the grid, not the arithmetic of an energy.
+    # half_traces_many gives each energy the y of its scalar orbit_trace,
+    # and the initial triple is read from the traces of the level stacks.
     for model, n in BENCH_LEVELS.items():
         spec = bench_specs[model]
         energies = np.linspace(*energy_window(spec), K)
         with np.errstate(over="ignore", invalid="ignore"):
-            stacks = level_matrices_many(spec, energies, n)
+            stacks = level_matrices_many(spec, energies, 1)
             got = half_traces_many(spec, energies, n)
             x, y, z = initial_triple_many(spec, energies)
+        sample = np.unique(np.r_[0, _BATCH - 1, _BATCH, K - 1, np.arange(0, K, 97)].clip(0, K - 1))
+        for i in sample:
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = orbit_trace(spec, float(energies[i]), n)[n - 1].y
+            assert np.float64(want).tobytes() == got[i].tobytes()
         half_trace = [0.5 * (M[:, 0, 0] + M[:, 1, 1]) for M in stacks]
-        assert got.tobytes() == half_trace[n + 1].tobytes()
         assert x.tobytes() == half_trace[1].tobytes()
         assert y.tobytes() == half_trace[2].tobytes()
         a, b = stacks[2], stacks[1]  # tr(M(1) M(0)), entrywise as the kernel multiplies
         tr = (a[:, 0, 0] * b[:, 0, 0] + a[:, 0, 1] * b[:, 1, 0]) + (a[:, 1, 0] * b[:, 0, 1] + a[:, 1, 1] * b[:, 1, 1])
         assert z.tobytes() == (0.5 * tr).tobytes()
+
+
+def _half_trace_digits(spec, n, E, digits=40):
+    """Oracle: tr M_E(n) / 2 from the site-by-site product over s'_n in
+    `digits`-digit decimal arithmetic (E and the potential enter exactly)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        e = decimal.Decimal(E)
+        m11, m12, m21, m22 = 1, 0, 0, 1
+        for v in spec.potential_values(level_words_prime(spec, n)[n + 1]):
+            d = e - decimal.Decimal(float(v))
+            m11, m12, m21, m22 = d * m11 - m21, d * m12 - m22, m11, m12
+        return float((m11 + m22) / 2)
+
+
+@pytest.mark.parametrize("model,n", [("fibonacci", 14), ("q5", 10), ("digits", 6), ("prefixed", 12)])
+def test_half_traces_accurate_where_level_products_disagree(bench_specs, model, n):
+    # Where the trace map and the level products differ most, the trace map
+    # is within 1e-10 of the 40-digit half trace (worst seen: 2.7e-11 on
+    # digits); the level products were off by 1.3e-10 to 2.6e-7 there.
+    spec = bench_specs[model]
+    energies = np.linspace(*energy_window(spec), 3 * _BATCH + 17)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = half_traces_many(spec, energies, n)
+        M = level_matrices_many(spec, energies, n)[n + 1]
+        gap = np.abs(got - 0.5 * (M[:, 0, 0] + M[:, 1, 1]))
+    gap[~(np.abs(got) <= 1.5)] = -1.0
+    for i in np.argsort(gap)[-12:]:
+        assert abs(got[i] - _half_trace_digits(spec, n, energies[i])) <= 1e-10
 
 
 # ------------------------------------------------------------------- Lyapunov
