@@ -95,6 +95,8 @@ def _cmd_generate(spec, args, out: Output):
 
 
 def _cmd_complexity(spec, args, out: Output):
+    if args.nmax < 1:
+        raise ValueError(f"--nmax must be at least 1, got {args.nmax}")
     w = qs_prefix(spec, args.length, shift=args.shift)
     # detect_qs asks for the deeper factor index, which complexity then reuses;
     # a --nmax that does not fit the word still fails in complexity first.

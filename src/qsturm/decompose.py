@@ -255,6 +255,8 @@ def rotation_number(d: Decomposition, refine: int = 20) -> float:
     """Canonical rotation number: empirical frequency of 'a' in the base,
     refined by truncating its continued fraction at `refine` coefficients.
     """
+    if refine < 1:
+        raise ValueError(f"refine must be >= 1, got {refine}")
     if len(d.base_prefix) < _MIN_DETECT_LENGTH:
         raise BasePrefixTooShort(f"base prefix of length {len(d.base_prefix)} too short")
     freq = d.base_prefix.count("a") / len(d.base_prefix)

@@ -106,7 +106,7 @@ class Word:
         return Word(table[self.codes] if len(self.codes) else self.codes, alphabet)
 
     def to_str(self) -> str:
-        return "".join(map(self.alphabet.__getitem__, self.codes.tolist()))
+        return "".join(np.array(self.alphabet, dtype=object)[self.codes].tolist())
 
     def to_bytes(self) -> bytes:
         return self.codes.astype(np.uint8).tobytes()
@@ -172,17 +172,33 @@ class Substitution(_SubstitutionFields):
 
 
 def substitute(s: Substitution, w: Word) -> Word:
-    """Morphic image S(w); |S(w)| = sum of image lengths."""
+    """Morphic image S(w); |S(w)| = sum of image lengths.
+
+    One gather from the concatenated images: the index runs through the image
+    of each symbol in turn, a cumulative sum of unit steps that jumps to the
+    start of the next image where each symbol's piece begins.
+    """
     alphabet = s.target_alphabet
     missing = [letter not in s.images for letter in w.alphabet]
     if any(missing):
         bad = np.flatnonzero(np.array(missing)[w.codes])
         if len(bad):
             raise SymbolOutsideDomain(f"symbol {w[int(bad[0])]!r} outside substitution domain")
+    if len(w) == 0:
+        return Word(np.empty(0, dtype=np.int32), alphabet)
     images = [s.images[letter].recode(alphabet).codes if letter in s.images
               else np.empty(0, dtype=np.int32) for letter in w.alphabet]
-    pieces = [images[c] for c in w.codes.tolist()] or [np.empty(0, dtype=np.int32)]
-    return Word(np.concatenate(pieces), alphabet)
+    lengths = np.array([len(img) for img in images], dtype=np.int32)
+    starts = np.cumsum(lengths, dtype=np.int32) - lengths  # of each image in the concatenation
+    piece = np.cumsum(lengths[w.codes], dtype=np.int32)  # end of each symbol's piece in S(w)
+    jump = starts[w.codes[1:]]
+    jump -= (starts + lengths - 1)[w.codes[:-1]]
+    idx = np.ones(int(piece[-1]), dtype=np.int32)
+    idx[0] = starts[w.codes[0]]
+    idx[piece[:-1]] = jump
+    del piece, jump  # before the output is allocated
+    np.cumsum(idx, dtype=np.int32, out=idx)
+    return Word(np.concatenate(images)[idx], alphabet)
 
 
 def reflect_subst(s: Substitution) -> Substitution:
@@ -252,16 +268,27 @@ class ModelSpec(_ModelSpecFields):
 AB = ("a", "b")
 
 
-def _sturmian_words(cf: ContinuedFraction):
-    """s_{-1}, s_0, s_1, ... of the Sturmian recursion, one level at a time."""
-    a_word = Word.from_str("a", AB)
-    b_word = Word.from_str("b", AB)
-    yield a_word
-    yield b_word
-    prev, cur = b_word, b_word * (cf.coefficient(1) - 1) + a_word
+def _sturmian_words(cf: ContinuedFraction, a: Word, b: Word):
+    """The Sturmian recursion started from s_{-1} = a, s_0 = b: s_{-1}, s_0,
+    s_1, ... one level at a time."""
+    yield a
+    yield b
+    prev, cur = b, b * (cf.coefficient(1) - 1) + a
     for n in itertools.count(2):
         yield cur
         prev, cur = cur, cur * cf.coefficient(n) + prev
+
+
+def _letters() -> Tuple[Word, Word]:
+    return Word.from_str("a", AB), Word.from_str("b", AB)
+
+
+def _check_levels(cf: ContinuedFraction, n_max: int, max_length: int):
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    _, q = approximants(cf, n_max)
+    if q > max_length:
+        raise LengthBudgetExceeded(f"|s_{n_max}| = {q} exceeds budget {max_length}")
 
 
 def sturmian_levels(cf: ContinuedFraction, n_max: int,
@@ -270,12 +297,8 @@ def sturmian_levels(cf: ContinuedFraction, n_max: int,
 
     s_{-1} = a, s_0 = b, s_1 = b^{a_1 - 1} a, s_n = s_{n-1}^{a_n} s_{n-2}.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    _, q = approximants(cf, n_max)
-    if q > max_length:
-        raise LengthBudgetExceeded(f"|s_{n_max}| = {q} exceeds budget {max_length}")
-    return list(itertools.islice(_sturmian_words(cf), n_max + 2))
+    _check_levels(cf, n_max, max_length)
+    return list(itertools.islice(_sturmian_words(cf, *_letters()), n_max + 2))
 
 
 def characteristic_prefix(cf: ContinuedFraction, length: int) -> Word:
@@ -289,7 +312,7 @@ def characteristic_prefix(cf: ContinuedFraction, length: int) -> Word:
         raise ValueError("length must be >= 1")
     if length > DEFAULT_LENGTH_BUDGET:
         raise LengthBudgetExceeded(f"requested length {length} exceeds budget {DEFAULT_LENGTH_BUDGET}")
-    for n, s in enumerate(itertools.islice(_sturmian_words(cf), 1, None)):
+    for n, s in enumerate(itertools.islice(_sturmian_words(cf, *_letters()), 1, None)):
         if n >= 1 and len(s) >= length:
             return s[:length]  # before reading a_{n+1}, which may not exist
         k = -(-length // len(s))
@@ -298,10 +321,20 @@ def characteristic_prefix(cf: ContinuedFraction, length: int) -> Word:
 
 
 def level_words_prime(spec: ModelSpec, n_max: int) -> List[Word]:
-    """s'_n = S(s_n) for n = -1..n_max; list index i holds s'_{i-1}."""
-    ell = max(len(img) for img in spec.subst.images.values())
-    levels = sturmian_levels(spec.cf, n_max, max_length=max(1, DEFAULT_LENGTH_BUDGET // ell))
-    return [substitute(spec.subst, s) for s in levels]
+    """s'_n = S(s_n) for n = -1..n_max; list index i holds s'_{i-1}.
+
+    S is a morphism, so s'_n follows the Sturmian recursion started from
+    s'_{-1} = S(a) and s'_0 = S(b): only concatenations, no substitution.
+    """
+    images = spec.subst.images
+    ell = max(len(img) for img in images.values())
+    _check_levels(spec.cf, n_max, max(1, DEFAULT_LENGTH_BUDGET // ell))
+    alphabet = spec.subst.target_alphabet
+    try:
+        a, b = (images[letter].recode(alphabet) for letter in AB)
+    except KeyError as e:
+        raise SymbolOutsideDomain(f"symbol {e.args[0]!r} outside substitution domain") from None
+    return list(itertools.islice(_sturmian_words(spec.cf, a, b), n_max + 2))
 
 
 def qs_prefix(spec: ModelSpec, length: int, shift: int = 0) -> Word:
@@ -355,33 +388,54 @@ class FactorIndex:
         return np.sort(first[first <= len(self.order) - m])
 
 
+def _rank(key: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Suffix order by key, the dense int32 rank of each position, the top rank."""
+    order = np.argsort(key)
+    sorted_key = key[order]
+    new = np.zeros(len(key), dtype=bool)
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=new[1:])
+    rank = np.empty(len(key), dtype=np.int32)
+    rank[order] = np.cumsum(new, dtype=np.int32)
+    return order, rank, int(np.count_nonzero(new))
+
+
 def _build_index(codes: np.ndarray, length: int) -> FactorIndex:
     """Prefix doubling (Manber & Myers) stopped once 2^P >= length, then the
     capped LCP by binary lifting over the ranks of every round.
 
-    Each round sorts one int64 key rank*(top+2) + next+1; the doubling also
-    stops early when all ranks are distinct, and the LCP is then exact.
-    O(n log n) per round, P = ceil(log2 length) rounds.
+    The first round sorts one packed int64 key per position: its first k
+    symbols in base B = sigma + 1, sigma = largest code + 1 (code + 1 per
+    symbol, and 0 past the end of the word). Each later round sorts one int64
+    key rank*(top+2) + next+1. The doubling also stops early when all ranks
+    are distinct, and the LCP is then exact. O(n log n) per round,
+    1 + ceil(log2(length / k)) rounds.
     """
     n = len(codes)
-    rank = np.unique(codes, return_inverse=True)[1].astype(np.int32)
-    order = np.argsort(rank, kind="stable")
-    ranks = [rank]  # ranks[p][i] ranks w[i:i+2^p]; equal ranks mean equal full windows
-    span, top = 1, int(rank.max(initial=-1))
+    base = int(codes.max(initial=0)) + 2
+    k = 1  # the largest power of two with base^k < 2^63 that length still needs
+    while k < length and base ** (2 * k) < 2**63:
+        k *= 2
+    packed = codes.astype(np.int64) + 1
+    for s in (1 << j for j in range(k.bit_length() - 1)):
+        m = max(n - s, 0)  # packed holds s symbols; append the s that follow
+        packed[:m] = packed[:m] * base**s + packed[s:]
+        packed[m:] *= base**s
+    order, rank, top = _rank(packed)
+    ranks = [rank]  # ranks[j][i] ranks w[i:i+k*2^j]; equal ranks mean equal full windows
+    span = k
     while span < length and top < n - 1:
         key = rank.astype(np.int64) * (top + 2)
         key[: n - span] += rank[span:] + 1
-        order = np.argsort(key)
-        sorted_key = key[order]
-        rank = np.empty(n, dtype=np.int32)
-        rank[order] = np.cumsum(np.concatenate(([0], sorted_key[1:] != sorted_key[:-1])))
-        top = int(rank[order[-1]])
+        order, rank, top = _rank(key)
         ranks.append(rank)
         span *= 2
     left, right = order[:-1], order[1:]
     lcp = np.zeros(len(left), dtype=np.int64)
-    for p in range(len(ranks) - 2, -1, -1):
-        r = np.append(ranks[p], -1)  # the end of the word matches nothing
+    q = k.bit_length() - 1
+    for p in range(q + len(ranks) - 2, -1, -1):
+        # below span k the first 2^p symbols are the top digits of the packed key
+        r = ranks[p - q] if p >= q else packed // base ** (k - (1 << p))
+        r = np.append(r, -1)  # the end of the word matches nothing
         lcp[r[left + lcp] == r[right + lcp]] += 1 << p
     tied = ranks[-1][left] == ranks[-1][right]
     lcp[tied] = span

@@ -95,6 +95,13 @@ def test_decompose_reports_theta(fib_path, capsys):
     assert abs(theta - 0.6180339887498949) < 1e-3
 
 
+@pytest.mark.parametrize("refine", ["0", "-3"])
+def test_decompose_rejects_refine_below_one(fib_path, refine, capsys):
+    code, out, err = run(["decompose", fib_path, "--length", "2000", "--refine", refine], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: ValueError: refine must be >= 1, got {refine}\n"
+
+
 def test_tracemap_free_energy_zero(free_path, capsys):
     code, out, _ = run(["tracemap", free_path, "--energy", "0"], capsys)
     assert code == 0
@@ -455,6 +462,8 @@ INVALID = [
     (["bands", "--level", "3", "--tol", "inf"], "--tol must be finite, got inf"),
     (["lyapunov", "--grid", "0"], "--grid must be at least 1, got 0"),
     (["lyapunov", "--grid", "-3"], "--grid must be at least 1, got -3"),
+    (["complexity", "--nmax", "0"], "--nmax must be at least 1, got 0"),
+    (["complexity", "--nmax", "-5"], "--nmax must be at least 1, got -5"),
     (["spectrum", "--nrange", "3"], "--nrange must have the form LO:HI, got '3'"),
     (["spectrum", "--nrange", "3:x"], "--nrange must have the form LO:HI, got '3:x'"),
     (["spectrum", "--nrange", ":5"], "--nrange must have the form LO:HI, got ':5'"),

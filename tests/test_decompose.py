@@ -269,6 +269,13 @@ def test_rotation_number_ignores_noisy_tail(q5_spec):
     assert min(abs(theta_hat - GOLDEN), abs((1.0 - theta_hat) - GOLDEN)) < 1e-3
 
 
+@pytest.mark.parametrize("refine", [0, -3])
+def test_rotation_number_rejects_refine_below_one(fib_spec, refine):
+    d = cassaigne_decompose(qs_prefix(fib_spec, 2000))
+    with pytest.raises(ValueError, match=rf"^refine must be >= 1, got {refine}$"):
+        rotation_number(d, refine=refine)
+
+
 def test_decompose_rejects_periodic():
     with pytest.raises(NoBispecialFound):
         cassaigne_decompose(Word.from_str("ab" * 200))

@@ -33,7 +33,16 @@ from qsturm.words import (
     safe_window,
     sturmian_levels,
     substitute,
+    _build_index,
 )
+
+BENCH = ("fibonacci", "q5", "digits", "prefixed")
+
+
+def _assert_same_word(got, expected):
+    assert got.alphabet == expected.alphabet
+    assert got.codes.dtype == expected.codes.dtype
+    assert np.array_equal(got.codes, expected.codes)
 
 
 # ---------------------------------------------------------------- Word basics
@@ -138,6 +147,26 @@ def test_qs_prefix_builds_no_level_longer_than_needed(coeffs, expected):
         tracemalloc.stop()
     assert word.to_str() == expected
     assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize("model", BENCH)
+def test_level_words_prime_match_substituted_levels(bench_specs, model):
+    # level_words_prime concatenates S(a) and S(b); substituting every
+    # Sturmian level word is the definition.
+    spec = bench_specs[model]
+    for n in range(1, 15):
+        expected = [substitute(spec.subst, s) for s in sturmian_levels(spec.cf, n)]
+        got = level_words_prime(spec, n)
+        assert len(got) == len(expected) == n + 2
+        for g, e in zip(got, expected):
+            _assert_same_word(g, e)
+
+
+def test_level_words_prime_needs_both_letters(fib_cf):
+    subst = Substitution.from_strings({"b": "01", "c": "1"})
+    spec = ModelSpec(fib_cf, subst, Word.from_str("", ("0", "1")), {"0": 0.0, "1": 1.0})
+    with pytest.raises(SymbolOutsideDomain, match=r"^symbol 'a' outside substitution domain$"):
+        level_words_prime(spec, 3)
 
 
 def test_characteristic_prefix_is_common_prefix(fib_cf):
@@ -266,6 +295,70 @@ def test_substitute_long_words_match_loop(length):
         substitute(s, Word(np.r_[w.codes, 3, 0], ("a", "b", "c", "d")))
 
 
+def _substitute_per_symbol(s, w):
+    """Oracle: the per-symbol substitute, one image array per symbol of w."""
+    alphabet = s.target_alphabet
+    missing = [letter not in s.images for letter in w.alphabet]
+    if any(missing):
+        bad = np.flatnonzero(np.array(missing)[w.codes])
+        if len(bad):
+            raise SymbolOutsideDomain(f"symbol {w[int(bad[0])]!r} outside substitution domain")
+    images = [s.images[letter].recode(alphabet).codes if letter in s.images
+              else np.empty(0, dtype=np.int32) for letter in w.alphabet]
+    pieces = [images[c] for c in w.codes.tolist()] or [np.empty(0, dtype=np.int32)]
+    return Word(np.concatenate(pieces), alphabet)
+
+
+@pytest.mark.parametrize("model", BENCH)
+def test_substitute_matches_per_symbol_on_bench_models(bench_specs, model):
+    spec = bench_specs[model]
+    base = characteristic_prefix(spec.cf, 10**5)
+    _assert_same_word(substitute(spec.subst, base), _substitute_per_symbol(spec.subst, base))
+
+
+@pytest.mark.parametrize("letters", ["", "a", "b", "c", "ba", "cab", "ccccbcaaab"])
+def test_substitute_matches_per_symbol_on_short_words(letters):
+    # Images of lengths 3, 1 and 5; the word's alphabet has a letter the
+    # substitution has no image for, which is fine while it does not occur.
+    s = Substitution.from_strings({"a": "xyz", "b": "y", "c": "zzxyx"})
+    w = Word.from_str(letters, ("a", "b", "c", "d"))
+    _assert_same_word(substitute(s, w), _substitute_per_symbol(s, w))
+
+
+def test_substitute_missing_symbol_message():
+    s = Substitution.from_strings({"a": "xyz", "b": "y"})
+    w = Word.from_str("abbadab", ("a", "b", "d"))
+    with pytest.raises(SymbolOutsideDomain) as want:
+        _substitute_per_symbol(s, w)
+    assert str(want.value) == "symbol 'd' outside substitution domain"
+    with pytest.raises(SymbolOutsideDomain, match=f"^{re.escape(str(want.value))}$"):
+        substitute(s, w)
+
+
+def _peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("model", BENCH)
+def test_substitute_peak_memory(bench_specs, model):
+    # The per-symbol oracle peaks at about 4.0 MB on a 10^5-symbol base
+    # whatever the images; the gather's int32 index and output scale with
+    # |S(w)|, which is 6 * 10^5 symbols on q5.
+    spec = bench_specs[model]
+    base = characteristic_prefix(spec.cf, 10**5)
+    per_symbol = _peak(lambda: _substitute_per_symbol(spec.subst, base))
+    peak = _peak(lambda: substitute(spec.subst, base))
+    if model == "q5":
+        assert peak <= 1.25 * per_symbol, (peak, per_symbol)
+    else:
+        assert peak < per_symbol, (peak, per_symbol)
+
+
 def _brute_complexity(codes, n_max):
     return [len({tuple(codes[i:i + n]) for i in range(len(codes) - n + 1)})
             for n in range(1, n_max + 1)]
@@ -295,6 +388,79 @@ def test_complexity_reuses_and_regrows_index(codes, data):
     complexity(w, small)
     assert complexity(w, large) == complexity(Word(codes, ("a", "b", "c", "d")), large)
     assert complexity(w, small) == _brute_complexity(codes, small)
+
+
+# The packed first key spans 32 symbols over one or two letters, 16 over
+# three to five and 4 over 255 (base^k < 2^63 with base = letters + 1).
+_PACKED_SPAN = {1: 32, 2: 32, 3: 16, 5: 16, 255: 4}
+
+
+def _index_words(sigma):
+    rng = np.random.default_rng(sigma)
+    top = sigma - 1
+    block = rng.integers(0, sigma, 7).tolist()
+    return {
+        "random": rng.integers(0, sigma, 90).tolist(),
+        "periodic": (block * 13)[:90],
+        "one_letter": [top] * 70,
+        # 32 copies of the largest letter give the largest packed key
+        "top_run": rng.integers(0, sigma, 20).tolist() + [top] * 32 + rng.integers(0, sigma, 30).tolist(),
+    }
+
+
+def _index_oracle(codes):
+    """Suffixes sorted as Python slices, the LCP of neighbours by direct
+    comparison, and per length m the dense rank of every window w[i:i+m]
+    (cut at the end of the word) and the first occurrence of each factor."""
+    n = len(codes)
+    order = sorted(range(n), key=lambda i: codes[i:])
+
+    def common(i, j):
+        k = 0
+        while i + k < n and j + k < n and codes[i + k] == codes[j + k]:
+            k += 1
+        return k
+
+    lcp = [common(i, j) for i, j in zip(order, order[1:])]
+    classes, first = {}, {}
+    for m in range(1, n + 1):
+        windows = [tuple(codes[i:i + m]) for i in range(n)]
+        rank = {win: r for r, win in enumerate(sorted(set(windows)))}
+        classes[m] = [rank[win] for win in windows]
+        seen = {}
+        for i, win in enumerate(windows[:n - m + 1]):
+            seen.setdefault(win, i)
+        first[m] = sorted(seen.values())
+    return lcp, classes, first
+
+
+@pytest.mark.parametrize("kind", ["random", "periodic", "one_letter", "top_run"])
+@pytest.mark.parametrize("sigma", sorted(_PACKED_SPAN))
+def test_build_index_matches_naive_oracle(sigma, kind):
+    codes = _index_words(sigma)[kind]
+    n = len(codes)
+    lcp, classes, first = _index_oracle(codes)
+    k = _PACKED_SPAN[sigma]
+    for length in sorted({1, 2, 3, k - 1, k, k + 1, 2 * k + 3, n - 1, n, n + 5}):
+        span = 1
+        while span < length:
+            span *= 2
+        cap = span if max(lcp) >= span else n
+        index = _build_index(np.array(codes, dtype=np.int32), length)
+        assert index.cap == cap, (length, index.cap, cap)
+        assert index.lcp.tolist() == [min(x, cap) for x in lcp], length
+        assert sorted(index.order.tolist()) == list(range(n))
+        for m in range(1, min(cap, n) + 1):
+            assert index.classes(m).tolist() == classes[m], (length, m)
+            assert index.first_occurrences(m).tolist() == first[m], (length, m)
+
+
+def test_build_index_peak_memory(bench_specs):
+    # One packed int64 key and the int32 ranks of the doubling rounds are
+    # kept for the LCP lifting; the rest is freed round by round.
+    codes = qs_prefix(bench_specs["fibonacci"], 10**5).codes
+    peak = _peak(lambda: _build_index(codes, 401))
+    assert peak <= 9.0e6, peak
 
 
 def test_complexity_window_guard():
