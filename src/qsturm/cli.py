@@ -109,6 +109,8 @@ def _cmd_complexity(spec, args, out: Output):
 
 
 def _cmd_decompose(spec, args, out: Output):
+    if args.refine < 1:  # rotation_number's check, before the decomposition is paid for
+        raise ValueError(f"refine must be >= 1, got {args.refine}")
     w = qs_prefix(spec, args.length, shift=args.shift)
     d = cassaigne_decompose(w)
     theta = rotation_number(d, refine=args.refine)

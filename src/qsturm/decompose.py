@@ -207,30 +207,38 @@ def _return_structure(w: Word, n: int):
     if n == 0:
         if len(w.alphabet) < 2:
             return None
-        occ = np.arange(len(w))
+        occ = np.arange(len(w), dtype=np.int32)
     else:
         occ = _recurrent_bispecial(w, n)
         if occ is None:
             return None
+        occ = occ.astype(np.int32)
     if len(occ) < _MIN_TAIL_RETURNS:
         return None
     ext = w.codes[occ[:-1] + n]
     length = np.diff(occ)
-    other = np.flatnonzero(ext != ext[-1])
-    if len(other) == 0:
+    other = ext != ext[-1]
+    if not other.any():
         return None
-    ref = np.array([len(ext) - 1, other[-1]])  # last passage with each extension
-    which = np.where(ext == ext[-1], 0, np.where(ext == ext[ref[1]], 1, -1))
-    ok = (which >= 0) & (length == length[ref[which]])
+    ref = np.array([len(ext) - 1, np.flatnonzero(other)[-1]])  # last passage with each extension
+    which = np.full(len(ext), -1, dtype=np.int8)
+    which[ext == ext[ref[1]]] = 1
+    which[~other] = 0
+    ok = (which >= 0) & (length == length[ref][which])
     # Compare each candidate return word with its reference, symbol by
-    # symbol: the return words tile the window, so this costs O(|w|).
-    sel = np.flatnonzero(ok)
-    size = length[sel]
-    start = np.cumsum(size) - size
-    offset = np.arange(int(size.sum())) - np.repeat(start, size)
-    mine = w.codes[np.repeat(occ[sel], size) + offset]
-    theirs = w.codes[np.repeat(occ[ref[which[sel]]], size) + offset]
-    ok[sel[np.logical_or.reduceat(mine != theirs, start)]] = False
+    # symbol: the return words tile w[occ[0]:occ[-1]], so one gather through
+    # an index that runs along each passage from the start of its reference
+    # (of the passage itself where no reference fits) costs O(|w|).
+    delta = np.where(ok, occ[ref][which] - occ[:-1], 0)
+    starts = occ[:-1] - occ[0]
+    idx = np.ones(int(occ[-1] - occ[0]), dtype=np.int32)
+    idx[starts[1:]] += np.diff(delta)
+    idx[0] = occ[0] + delta[0]
+    del delta
+    np.cumsum(idx, out=idx)
+    mismatch = w.codes[idx] != w.codes[occ[0]:occ[-1]]
+    del idx
+    ok[np.logical_or.reduceat(mismatch, starts)] = False
     bad = np.flatnonzero(~ok)
     j0 = int(bad[-1]) + 1 if len(bad) else 0
     if ref[1] < j0 or len(ext) - j0 < _MIN_TAIL_RETURNS:

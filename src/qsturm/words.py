@@ -7,12 +7,21 @@ so quasi-Sturmian alphabets of any size work; labels are opaque strings.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+
+# hashlib is heavy to load (it maps OpenSSL's libcrypto); the interpreter's
+# own SHA-256 gives the same digest: _sha2 from Python 3.12, _sha256 before.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .contfrac import ContinuedFraction, approximants
 from .errors import (
@@ -240,7 +249,7 @@ class ModelSpec(_ModelSpecFields):
 
     def fingerprint(self) -> str:
         blob = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return sha256(blob.encode()).hexdigest()[:16]
 
     def to_json(self) -> dict:
         return {
@@ -389,14 +398,20 @@ class FactorIndex:
 
 
 def _rank(key: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Suffix order by key, the dense int32 rank of each position, the top rank."""
-    order = np.argsort(key)
+    """Suffix order by key (int32), the dense int32 rank of each position with
+    a -1 sentinel after the last (the end of the word matches nothing), and
+    the top rank."""
+    n = len(key)
+    order = np.argsort(key).astype(np.int32)
     sorted_key = key[order]
-    new = np.zeros(len(key), dtype=bool)
+    new = np.zeros(n, dtype=np.int32)
     np.not_equal(sorted_key[1:], sorted_key[:-1], out=new[1:])
-    rank = np.empty(len(key), dtype=np.int32)
-    rank[order] = np.cumsum(new, dtype=np.int32)
-    return order, rank, int(np.count_nonzero(new))
+    del sorted_key  # before the rank is allocated
+    np.cumsum(new, out=new)
+    rank = np.empty(n + 1, dtype=np.int32)
+    rank[order] = new
+    rank[n] = -1
+    return order, rank, int(new[-1]) if n else 0
 
 
 def _build_index(codes: np.ndarray, length: int) -> FactorIndex:
@@ -408,39 +423,44 @@ def _build_index(codes: np.ndarray, length: int) -> FactorIndex:
     symbol, and 0 past the end of the word). Each later round sorts one int64
     key rank*(top+2) + next+1. The doubling also stops early when all ranks
     are distinct, and the LCP is then exact. O(n log n) per round,
-    1 + ceil(log2(length / k)) rounds.
+    1 + ceil(log2(length / k)) rounds. Orders, ranks and the LCP are int32,
+    and each round's order is freed before the next argsort, so the build
+    peaks below 64 bytes per symbol.
     """
     n = len(codes)
     base = int(codes.max(initial=0)) + 2
     k = 1  # the largest power of two with base^k < 2^63 that length still needs
     while k < length and base ** (2 * k) < 2**63:
         k *= 2
-    packed = codes.astype(np.int64) + 1
+    packed = np.append(codes.astype(np.int64) + 1, -1)  # the end of the word is below every digit
     for s in (1 << j for j in range(k.bit_length() - 1)):
         m = max(n - s, 0)  # packed holds s symbols; append the s that follow
-        packed[:m] = packed[:m] * base**s + packed[s:]
-        packed[m:] *= base**s
-    order, rank, top = _rank(packed)
+        packed[:m] = packed[:m] * base**s + packed[s:n]
+        packed[m:n] *= base**s
+    order, rank, top = _rank(packed[:n])
     ranks = [rank]  # ranks[j][i] ranks w[i:i+k*2^j]; equal ranks mean equal full windows
     span = k
     while span < length and top < n - 1:
-        key = rank.astype(np.int64) * (top + 2)
-        key[: n - span] += rank[span:] + 1
+        key = np.multiply(rank[:n], top + 2, dtype=np.int64)
+        key[: n - span] += rank[span:n] + 1
+        del order  # before the argsort allocates
         order, rank, top = _rank(key)
+        del key
         ranks.append(rank)
         span *= 2
     left, right = order[:-1], order[1:]
-    lcp = np.zeros(len(left), dtype=np.int64)
+    rank = ranks.pop()  # only the ties at the last span are needed of it
+    tied = rank[left] == rank[right]
+    lcp = np.zeros(len(left), dtype=np.int32)
     q = k.bit_length() - 1
-    for p in range(q + len(ranks) - 2, -1, -1):
-        # below span k the first 2^p symbols are the top digits of the packed key
-        r = ranks[p - q] if p >= q else packed // base ** (k - (1 << p))
-        r = np.append(r, -1)  # the end of the word matches nothing
-        lcp[r[left + lcp] == r[right + lcp]] += 1 << p
-    tied = ranks[-1][left] == ranks[-1][right]
+    for p in range(q + len(ranks) - 1, -1, -1):
+        # ranks[p - q] is the last one left; below span k the first 2^p
+        # symbols are the top digits of the packed key
+        rank = ranks.pop() if p >= q else packed // base ** (k - (1 << p))
+        lcp[rank[left + lcp] == rank[right + lcp]] += 1 << p
     lcp[tied] = span
     cap = span if tied.any() else n
-    return FactorIndex(order.astype(np.int32), lcp.astype(np.int32), cap)
+    return FactorIndex(order, lcp, cap)
 
 
 def factor_index(w: Word, length: int) -> FactorIndex:

@@ -102,6 +102,19 @@ def test_decompose_rejects_refine_below_one(fib_path, refine, capsys):
     assert err == f"error: ValueError: refine must be >= 1, got {refine}\n"
 
 
+def test_decompose_checks_refine_before_decomposing(fib_path, capsys, monkeypatch):
+    # At the default --length the decomposition takes a good part of a
+    # second; an invalid --refine is reported before any of it is done.
+    def fail(*args, **kwargs):
+        raise AssertionError("the window was built or decomposed before --refine was checked")
+
+    monkeypatch.setattr("qsturm.cli.qs_prefix", fail)
+    monkeypatch.setattr("qsturm.cli.cassaigne_decompose", fail)
+    code, out, err = run(["decompose", fib_path, "--refine", "0"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: ValueError: refine must be >= 1, got 0\n"
+
+
 def test_tracemap_free_energy_zero(free_path, capsys):
     code, out, _ = run(["tracemap", free_path, "--energy", "0"], capsys)
     assert code == 0
@@ -345,24 +358,48 @@ def test_memory_error_is_one_line(fib_path, capsys, monkeypatch):
     assert err == "error: MemoryError: Unable to allocate 1 TiB\n"
 
 
+def _qsturm_env():
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qsturm.__file__)))
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # qsturm depends on numpy alone; no CLI call pays for a scipy import.
-    src = os.path.dirname(os.path.dirname(qsturm.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, qsturm.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    subprocess.run([sys.executable, "-c", code], env=_qsturm_env(), check=True)
+
+
+def _generate_q5(before="", after=""):
+    """stdout of `qsturm generate` on q5 in a fresh interpreter, with Python
+    statements run before the call and after it."""
+    code = f"{before}import sys; from qsturm.cli import main; status = main(sys.argv[1:]); {after}sys.exit(status)"
+    argv = ["generate", str(BENCH_MODELS / "q5.json"), "--length", "20"]
+    return subprocess.run([sys.executable, "-c", code, *argv], env=_qsturm_env(), check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_generate_leaves_openssl_unloaded():
+    # The fingerprint in every header is SHA-256 from the interpreter's own
+    # module, so no CLI call maps OpenSSL's libcrypto through hashlib.
+    _generate_q5(after="assert '_hashlib' not in sys.modules, '_hashlib imported'; ")
+
+
+def test_fingerprint_falls_back_to_hashlib():
+    # An interpreter without _sha2 (3.12+) or _sha256 (3.10, 3.11) takes
+    # hashlib's SHA-256, and prints the same header.
+    fallback = _generate_q5("import hashlib, sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+                            "import qsturm.words; assert qsturm.words.sha256 is hashlib.sha256; ")
+    assert fallback.startswith("# fingerprint=")
+    assert fallback == _generate_q5()
 
 
 def test_cli_import_constructs_no_dataclass():
     # Every CLI call imports qsturm.cli, so its records are NamedTuples, far
     # cheaper to build than frozen dataclasses. The import still loads every
     # layer: nothing is deferred.
-    src = os.path.dirname(os.path.dirname(qsturm.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, qsturm.cli; assert 'dataclasses' not in sys.modules, 'dataclasses imported'; "
             "missing = {'contfrac', 'words', 'decompose', 'tracemap', 'transfer', 'spectrum'} "
             "- {m[7:] for m in sys.modules if m.startswith('qsturm.')}; assert not missing, missing")
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    subprocess.run([sys.executable, "-c", code], env=_qsturm_env(), check=True)
 
 
 # ---------------------------------------------------------------- the parser

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -203,6 +204,20 @@ def test_return_structure_matches_passage_loop(model):
         n0 = detect_qs(w).n0
         for n in range(max(0, n0 - 1), n0 + 31):
             _check_return_structure(w, n)
+
+
+def test_return_structure_bytes_per_symbol():
+    # At n = 0 every symbol is a passage. The check runs on int32
+    # occurrences, offsets and one gather index: about 35 bytes per symbol
+    # (84 with int64 index arrays), below the factor index's peak.
+    w = _model_word("fibonacci", 10**5)
+    tracemalloc.start()
+    try:
+        assert _return_structure(w, 0) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 60 * len(w), peak / len(w)
 
 
 def _headed_word(kind):

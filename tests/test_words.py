@@ -1,5 +1,7 @@
 """Words, substitutions, level words, complexity, palindromes, squares."""
 
+import hashlib
+import json
 import re
 import tracemalloc
 
@@ -273,6 +275,15 @@ def test_fingerprint_distinguishes_models(fib_spec, cf2_spec):
     assert fib_spec.fingerprint() != cf2_spec.fingerprint()
 
 
+@pytest.mark.parametrize("model", BENCH)
+def test_fingerprint_is_hashlib_sha256(bench_specs, model):
+    # The fingerprint takes SHA-256 from the interpreter's own module, not
+    # from hashlib; the digest is the same.
+    spec = bench_specs[model]
+    blob = json.dumps(spec.to_json(), sort_keys=True, separators=(",", ":")).encode()
+    assert spec.fingerprint() == hashlib.sha256(blob).hexdigest()[:16]
+
+
 # ----------------------------------------------------------------- complexity
 
 def test_sturmian_complexity(fib_cf):
@@ -461,6 +472,15 @@ def test_build_index_peak_memory(bench_specs):
     codes = qs_prefix(bench_specs["fibonacci"], 10**5).codes
     peak = _peak(lambda: _build_index(codes, 401))
     assert peak <= 9.0e6, peak
+
+
+@pytest.mark.parametrize("model", BENCH)
+def test_build_index_bytes_per_symbol(bench_specs, model):
+    # int32 orders, ranks and LCP, and each round's order freed before the
+    # next argsort: about 46 bytes per symbol at this length (80 with int64).
+    codes = qs_prefix(bench_specs[model], 10**5).codes
+    peak = _peak(lambda: _build_index(codes, 201))
+    assert peak <= 64 * len(codes), peak / len(codes)
 
 
 def test_complexity_window_guard():
