@@ -162,6 +162,15 @@ def half_traces_many(spec: ModelSpec, energies: np.ndarray, n: int) -> np.ndarra
 
 _RENORM_EVERY = 64
 
+# A long sweep runs its site sequence as S consecutive segments side by side,
+# as one more lane axis, so that each per-site numpy call covers S sites. No
+# segment is shorter than _MIN_SEGMENT sites, so sequences below twice that
+# run as one segment, with the arithmetic of the plain site loop; and a sweep
+# holds at most about _MAX_LANES lanes, past which wider calls save little
+# and the buffers grow with S. Chosen by measurement; see CHANGES.md.
+_MIN_SEGMENT = 8192
+_MAX_LANES = 1024
+
 
 def _chunk_sites(energies: np.ndarray, v: np.ndarray) -> int:
     """Sites per chunk of the lane kernel: _RENORM_EVERY, or fewer where a
@@ -173,6 +182,16 @@ def _chunk_sites(energies: np.ndarray, v: np.ndarray) -> int:
     """
     dmax = float(np.abs(energies).max(initial=0.0) + np.abs(v).max(initial=0.0))
     return max(1, min(_RENORM_EVERY, int(1000.0 / np.log2(2.0 + dmax))))
+
+
+def _layout(spec: ModelSpec, energies, L: int, lanes: int) -> Tuple[int, int]:
+    """(S, C) of a sweep of L sites with `lanes` lanes per segment at these
+    energies: S segments side by side, and C sites per chunk, by
+    _chunk_sites over the model's potential values. lyapunov_many and
+    growth_exponents take theirs here, and so does the CLI's metadata."""
+    S = max(1, min(L // _MIN_SEGMENT, _MAX_LANES // max(lanes, 1)))
+    return S, _chunk_sites(np.asarray(energies, dtype=float),
+                           np.array(list(spec.potential.values()), dtype=float))
 
 
 def _spectral_norms(m11, m12, m21, m22):
@@ -194,23 +213,26 @@ def _sweep(lanes: np.ndarray, v: np.ndarray, x_prev, x0, C: int) -> Iterator[Tup
     """Three-term recursion x_{k+1} = (lane - v_k) x_k - x_{k-1} on lanes, C
     sites at a time.
 
-    Rows 0 and 1 of a (C + 2, lanes) buffer start as x_prev and x0, and for
-    each chunk of c sites row k + 2 receives x_{k+1}: two in-place ufunc
-    calls per site, so the arithmetic is that of d * x - x_prev with
-    d = lane - v_k. Yields (buf, c) after each chunk; on resume rows c and
-    c + 1 carry into rows 0 and 1, so a caller may rescale them in place
-    first. An empty v yields one chunk of no sites, so a caller always sees
-    the buffer.
+    v is one site sequence, or S of them as the columns of a (sites, S)
+    array, run side by side as segments: each row of the buffer then has
+    shape (S, lanes), and x_prev and x0 broadcast to it. Rows 0 and 1 of a
+    (C + 2, ...) buffer start as x_prev and x0, and for each chunk of c
+    sites row k + 2 receives x_{k+1}: two in-place ufunc calls per site, so
+    the arithmetic is that of d * x - x_prev with d = lane - v_k. Yields
+    (buf, c) after each chunk; on resume rows c and c + 1 carry into rows 0
+    and 1, so a caller may rescale them in place first. An empty v yields
+    one chunk of no sites, so a caller always sees the buffer.
     """
-    buf = np.empty((C + 2, len(lanes)))
+    shape = v.shape[1:] + lanes.shape
+    buf = np.empty((C + 2,) + shape)
     buf[0], buf[1] = x_prev, x0
-    d = np.empty((C, len(lanes)))
+    d = np.empty((C,) + shape)
     rows = list(buf)
     steps = list(zip(d, rows, rows[1:], rows[2:]))
     mul, sub = np.multiply, np.subtract
     for start in range(0, len(v) or 1, C):
         c = min(C, len(v) - start)
-        np.subtract(lanes, v[start:start + c, None], out=d[:c])
+        np.subtract(lanes, v[start:start + c, ..., None], out=d[:c])
         for dk, prev, cur, nxt in steps[:c]:
             mul(dk, cur, out=nxt)
             sub(nxt, prev, out=nxt)
@@ -218,32 +240,69 @@ def _sweep(lanes: np.ndarray, v: np.ndarray, x_prev, x0, C: int) -> Iterator[Tup
         buf[:2] = buf[c:c + 2]
 
 
+def _products(energies: np.ndarray, v: np.ndarray, C: int) -> Tuple[Entries, np.ndarray]:
+    """Transfer matrices over the columns of v (sites, S) at each energy:
+    entries (m11, m12, m21, m22) and log scales, all of shape (S, K), the
+    matrix of column s being exp(log scale) times its entries. The entries
+    are divided by their largest after every full chunk of C sites."""
+    K = len(energies)
+    S = v.shape[1]
+    # Lanes :K run the chain (m21, m11) and lanes K: the chain (m22, m12):
+    # row k of a chunk holds (m11, m12) after k - 1 of its sites, and rows
+    # 0 and 1 start as (m21, m22) and (m11, m12).
+    logsum = np.zeros((S, K))
+    for buf, c in _sweep(np.tile(energies, 2), v, np.repeat([0.0, 1.0], K),
+                         np.repeat([1.0, 0.0], K), C):
+        if c == C:
+            end = buf[c:c + 2].reshape(2, S, 2, K)
+            scale = np.abs(end).max(axis=(0, 2))
+            scale = np.where(scale > 0, scale, 1.0)
+            np.divide(end, scale[:, None], out=end)
+            logsum += np.log(scale)
+    (m21, m22), (m11, m12) = buf[:2].reshape(2, S, 2, K).transpose(0, 2, 1, 3)
+    return (m11, m12, m21, m22), logsum
+
+
+def _chain(m: Entries, logsum: np.ndarray) -> Tuple[Entries, np.ndarray]:
+    """The product M_{S-1} ... M_0 of the matrices that _products gives for
+    S segments, as entries (K,) and a log scale (K,): S - 1 entrywise
+    products, the running product divided by its largest entry after each
+    factor. Each factor is within 2^1000 of its largest entry being 1 (see
+    _chunk_sites), so no product overflows."""
+    P, logs = None, [logsum.sum(axis=0)]
+    for M in zip(*m):
+        P = M if P is None else _mul(M, P)
+        scale = np.maximum.reduce([np.abs(x) for x in P])
+        P = tuple(x / scale for x in P)
+        logs.append(np.log(scale))
+    return P, np.sum(logs, axis=0)
+
+
 def lyapunov_many(spec: ModelSpec, energies: np.ndarray, L: int, shift: int = 0) -> np.ndarray:
     """(1/L) ln ||M_E(L)|| (spectral norm) over an energy array, renormalizing
     by the largest entry every 64 steps (fewer for a large potential, see
     _chunk_sites) to avoid overflow.
+
+    From 2 _MIN_SEGMENT sites on (and lanes permitting, see _layout) the
+    sites run as S segments side by side, whose matrices, with the last
+    L mod S sites as one more factor, are chained by _chain.
     """
     if L < 1000:
         raise ValueError("lyapunov requires L >= 1000")
     energies = np.asarray(energies, dtype=float)
     v = spec.potential_values(qs_prefix(spec, L, shift=shift))
-    C = _chunk_sites(energies, v)
-    K = len(energies)
-    # Lanes :K run the chain (m21, m11) and lanes K: the chain (m22, m12):
-    # row k of a chunk holds (m11, m12) after k - 1 of its sites, and rows
-    # 0 and 1 start as (m21, m22) and (m11, m12).
-    logsum = np.zeros(K)
-    for buf, c in _sweep(np.tile(energies, 2), v, np.repeat([0.0, 1.0], K),
-                         np.repeat([1.0, 0.0], K), C):
-        if c == C:
-            end = buf[c:c + 2].reshape(4, K)
-            scale = np.abs(end).max(axis=0)
-            scale = np.where(scale > 0, scale, 1.0)
-            np.divide(end, scale, out=end)
-            logsum += np.log(scale)
-    (m21, m22), (m11, m12) = buf[:2].reshape(2, 2, K)
-    logsum += np.log(_spectral_norms(m11, m12, m21, m22))
-    return logsum / L
+    S, C = _layout(spec, energies, L, 2 * len(energies))
+    q = L // S
+    m, logsum = _products(energies, v[:S * q].reshape(S, q).T, C)
+    if S > 1:
+        if S * q < L:
+            tail, tail_log = _products(energies, v[S * q:, None], C)
+            m = tuple(np.concatenate(x) for x in zip(m, tail))
+            logsum = np.concatenate((logsum, tail_log))
+        m, logsum = _chain(m, logsum)
+    else:
+        m, logsum = tuple(x[0] for x in m), logsum[0]
+    return (logsum + np.log(_spectral_norms(*m))) / L
 
 
 def lyapunov(spec: ModelSpec, E: float, L: int, shift: int = 0) -> float:
@@ -301,10 +360,12 @@ def solve(spec: ModelSpec, E: float, shift: int, phi0: float, phi1: float, L: in
         raise ZeroInitialCondition("initial condition must be nonzero")
     v = spec.potential_values(qs_prefix(spec, L, shift=shift))
     phi = np.empty(L + 2)
-    phi[0] = phi0
-    phi[1] = phi1
-    for n in range(1, L + 1):
-        phi[n + 1] = (E - v[n - 1]) * phi[n] - phi[n - 1]
+    phi[:2] = phi0, phi1
+    # Off the spectrum phi may overflow; it is returned as computed.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, (buf, c) in zip(range(2, L + 2, _RENORM_EVERY),
+                               _sweep(np.array([E], dtype=float), v, phi0, phi1, _RENORM_EVERY)):
+            phi[n:n + c] = buf[2:c + 2, 0]
     normalized = abs(phi0 * phi0 + phi1 * phi1 - 1.0) < 1e-12
     return SolutionSegment(phi, E, shift, normalized)
 
@@ -364,6 +425,80 @@ class GrowthExponents(NamedTuple):
     escaped: bool = False
 
 
+def _dyadic_norms(spec: ModelSpec, E: float, shift: int, L_max: int,
+                  dyadic: List[int]) -> Tuple[np.ndarray, bool]:
+    """||phi||_n of the 32 angles at the dyadic scales n up to the escape,
+    and whether phi escaped.
+
+    From 2 _MIN_SEGMENT sites on the sites run as S segments of q sites side
+    by side (see _layout), the last one also taking the L_max mod S sites
+    left over. The transfer matrices of the segments give each one's entry
+    state, and one sweep from those states takes the sums of squares, the
+    escape test and the dyadic norms; an escape is the earliest in segment
+    order, and one inside the first segment ends the sweep there.
+    """
+    angles = np.pi * np.arange(_N_ANGLES) / _N_ANGLES
+    v = spec.potential_values(qs_prefix(spec, L_max, shift=shift))
+    S, C = _layout(spec, [E], L_max, _N_ANGLES)
+    q = L_max // S
+    own = np.full(S, q)
+    own[-1] = L_max - (S - 1) * q
+    # Segment s runs sites s q + 1 .. s q + own[-1] from (phi(s q), phi(s q + 1));
+    # all but the last own only their first q sites, and past those run on
+    # into the next segment unread.
+    sites = np.lib.stride_tricks.sliding_window_view(v, own[-1])[::q].T
+    x_prev = np.empty((S, _N_ANGLES))
+    x0 = np.empty((S, _N_ANGLES))
+    x_prev[0], x0[0] = np.cos(angles), np.sin(angles)
+    # Where phi escapes before a segment ends, the states after it overflow;
+    # they and the sites after an escape within a chunk are discarded.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if S > 1:
+            (m11, m12, m21, m22), logsum = _products(np.array([E], dtype=float), sites[:q, :-1], C)
+            f = np.exp(logsum[:, 0])
+            for s in range(1, S):
+                a, b = x0[s - 1], x_prev[s - 1]
+                x0[s] = f[s - 1] * (m11[s - 1, 0] * a + m12[s - 1, 0] * b)
+                x_prev[s] = f[s - 1] * (m21[s - 1, 0] * a + m22[s - 1, 0] * b)
+        # Marks: the dyadic scales, then the end of each segment but the
+        # last. at[i] receives the sum of phi(n)^2 over the sites of mark i's
+        # segment up to it, from phi(0)^2 in segment 0.
+        marks = np.r_[dyadic, q * np.arange(1, S)]
+        seg = np.minimum((marks - 1) // q, S - 1)
+        pos = marks - seg * q
+        at = np.zeros((len(marks), _N_ANGLES))
+        # For a chunk after local site n0, row k of buf holds phi(n0 + k) of
+        # each segment, and rows 1..k of sq their squares, added to row 0,
+        # the sum up to n0, by reductions over the outer axis: row by row,
+        # in the order of the site loop.
+        sq = np.zeros((C + 1, S, _N_ANGLES))
+        sq[0, 0] = x_prev[0] ** 2
+        esc = np.zeros(S, dtype=np.intp)  # local site after which phi escapes
+        n0 = 0
+        for buf, c in _sweep(np.full(_N_ANGLES, E), sites, x_prev, x0, C):
+            np.square(buf[1:c + 1], out=sq[1:c + 1])
+            for i in np.flatnonzero((pos > n0) & (pos <= n0 + c)):
+                np.add.reduce(sq[:pos[i] - n0 + 1, seg[i]], axis=0, out=at[i])
+            # phi(n + 1) past the escape magnitude ends the scan after site
+            # n, where n is a site its segment owns; a NaN, left where a
+            # segment has escaped, sends the chunk to the full test too.
+            if not np.abs(buf[2:c + 2]).max() <= _ESCAPE_MAGNITUDE:
+                big = np.abs(buf[2:c + 2]).max(axis=2) > _ESCAPE_MAGNITUDE
+                big &= np.arange(n0 + 1, n0 + c + 1)[:, None] <= own
+                esc += np.where(big.any(axis=0) & (esc == 0), n0 + big.argmax(axis=0) + 1, 0)
+                if esc[0]:
+                    break
+            sq[0] = np.add.reduce(sq[:c + 1], axis=0)
+            n0 += c
+        k = int(np.argmax(esc > 0))
+        last = k * q + esc[k] if esc[k] else L_max
+        # A sum up to a dyadic scale adds the ends of the segments before its own.
+        ends = np.cumsum(np.r_[np.zeros((1, _N_ANGLES)), at[len(dyadic):]], axis=0)
+        keep = marks[:len(dyadic)] <= last
+        norms = np.sqrt(at[:len(dyadic)] + ends[seg[:len(dyadic)]])[keep]
+    return norms, bool(esc[k])
+
+
 def growth_exponents(spec: ModelSpec, E: float, shift: int, L_max: int) -> GrowthExponents:
     """Power-law exponents of ||phi||_L over normalized initial conditions.
 
@@ -374,39 +509,14 @@ def growth_exponents(spec: ModelSpec, E: float, shift: int, L_max: int) -> Growt
     """
     if L_max < 1000:
         raise ValueError("growth_exponents requires L_max >= 1000")
-    angles = np.pi * np.arange(_N_ANGLES) / _N_ANGLES
-    v = spec.potential_values(qs_prefix(spec, L_max, shift=shift))
     dyadic = [2**j for j in range(3, int(np.log2(L_max)) + 1)]
     if dyadic[-1] != L_max:
         dyadic.append(L_max)
-    norms = np.empty((len(dyadic), _N_ANGLES))
-    # For a chunk after site n0, row k of buf holds phi(n0 + k) and row k of
-    # sq the sum of phi(n)^2 over n <= n0 + k.
-    sq = np.empty((_RENORM_EVERY + 1, _N_ANGLES))
-    sq[0] = np.cos(angles) ** 2
-    n0 = idx = 0
-    escaped = False
-    # Sites after an escape within a chunk may overflow; they are discarded.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for buf, c in _sweep(np.full(_N_ANGLES, E), v, np.cos(angles), np.sin(angles), _RENORM_EVERY):
-            np.square(buf[1:c + 1], out=sq[1:c + 1])
-            np.add.accumulate(sq[:c + 1], axis=0, out=sq[:c + 1])
-            # phi(n + 1) past the escape magnitude ends the scan after site n
-            big = np.abs(buf[2:c + 2]).max(axis=1) > _ESCAPE_MAGNITUDE
-            escaped = bool(big.any())
-            last = n0 + (int(np.argmax(big)) + 1 if escaped else c)
-            while idx < len(dyadic) and dyadic[idx] <= last:
-                norms[idx] = np.sqrt(sq[dyadic[idx] - n0])
-                idx += 1
-            if escaped:
-                norms = norms[:idx]
-                dyadic = dyadic[:idx]
-                break
-            sq[0] = sq[c]
-            n0 += c
-    if len(dyadic) < 4:
+    # The potential and the sweep's buffers are freed before the fit.
+    norms, escaped = _dyadic_norms(spec, E, shift, L_max, dyadic)
+    if len(norms) < 4:
         raise DegenerateFit("not enough dyadic scales before blow-up")
-    lnL = np.log(np.asarray(dyadic, dtype=float))
+    lnL = np.log(np.asarray(dyadic[:len(norms)], dtype=float))
     slopes = np.polyfit(lnL, np.log(norms), 1)[0]
     gamma1 = float(np.min(slopes))
     gamma2 = float(np.max(slopes))

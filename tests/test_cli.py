@@ -263,6 +263,37 @@ def test_lyapunov_output_grid(free_path, capsys):
     assert len(rows) == 5
 
 
+def test_transfer_commands_record_segments_and_chunk(tmp_path, capsys):
+    # lyapunov and alpha report the segments their sweep ran side by side
+    # and its sites per renormalization chunk, the same on every run.
+    q5 = str(BENCH_MODELS / "q5.json")
+    E = repr(BENCH_CENTRES["q5"])
+    large = dict(json.loads((BENCH_MODELS / "fibonacci.json").read_text()), potential={"a": 1e7, "b": 0.0})
+    (tmp_path / "large.json").write_text(json.dumps(large))
+    cases = [
+        (["lyapunov", q5, "--length", "16383"], 1, 64),
+        (["lyapunov", q5, "--length", "16384", "--grid", "1"], 2, 64),
+        # two lanes per energy: 400 lanes, so two of the 12 possible segments
+        (["lyapunov", q5, "--length", "100000"], 2, 64),
+        (["lyapunov", q5, "--length", "100000", "--grid", "3"], 12, 64),
+        (["alpha", q5, "--energy", E, "--lmax", "16383"], 1, 64),
+        (["alpha", q5, "--energy", E, "--lmax", "100000"], 12, 64),
+        # 1000 / log2(2 + max|E| + max|v|) sites per chunk, where the energy
+        # window and the potential both reach past 10^7
+        (["lyapunov", str(tmp_path / "large.json"), "--length", "2000", "--grid", "5"], 1, 41),
+    ]
+    for argv, segments, chunk in cases:
+        code, out, err = run(argv, capsys)
+        assert code == 0, err
+        meta = [line for line in out.splitlines() if line.startswith("#")]
+        assert meta[-2:] == [f"# chunk={chunk}", f"# segments={segments}"], argv
+        assert run(argv, capsys)[1] == out
+    code, out, err = run(cases[-2][0] + ["--format", "json"], capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert (doc["segments"], doc["chunk"]) == (12, 64)
+
+
 def test_gordon_rows(fib_path, capsys):
     code, out, _ = run(
         ["gordon", fib_path, "--energy", "0.1", "--nmax", "4"], capsys)

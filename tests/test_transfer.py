@@ -18,9 +18,11 @@ from qsturm.spectrum import energy_window
 from qsturm.tracemap import orbit_trace
 from qsturm.transfer import (
     _BATCH,
+    _MIN_SEGMENT,
     GordonResult,
     GrowthExponents,
     _chunk_sites,
+    _layout,
     _spectral_norms,
     gordon_residual,
     growth_exponents,
@@ -286,6 +288,95 @@ def test_lyapunov_large_potential_stays_finite(big, tmp_path, capsys):
     assert np.max(np.abs(gammas - want)) <= 1e-8
 
 
+# Lengths around the smallest sweep of two segments: one site short (one
+# segment), exactly two, two and a remainder of 1 (L mod S sites), and 10^5.
+SEGMENT_LENGTHS = [2 * _MIN_SEGMENT - 1, 2 * _MIN_SEGMENT, 2 * _MIN_SEGMENT + 37, 100_000]
+
+
+@pytest.mark.parametrize("L", SEGMENT_LENGTHS)
+@pytest.mark.parametrize("model", ["fibonacci", "q5", "digits", "prefixed"])
+def test_lyapunov_many_segments_match_site_loop(bench_specs, model, L):
+    # One energy runs L // 8192 segments (12 at 10^5), 200 energies two.
+    # Chaining the segment matrices reassociates the product, so past one
+    # segment gamma agrees with the site loop to 1e-11 (worst seen on these
+    # grids: 7e-13); at one segment it is the site loop's, bit for bit.
+    spec = bench_specs[model]
+    grid = np.linspace(*energy_window(spec), 200)
+    for shift in (0, 5):
+        want = _lyapunov_sites(spec, np.r_[grid, grid[0]], L, shift)
+        for energies, ref in ((grid, want[:-1]), (grid[:1], want[-1:])):
+            assert _layout(spec, energies, L, 2 * len(energies))[0] == (
+                1 if L < 2 * _MIN_SEGMENT else min(L // _MIN_SEGMENT, 1024 // (2 * len(energies))))
+            got = lyapunov_many(spec, energies, L, shift=shift)
+            if L < 2 * _MIN_SEGMENT:
+                assert got.tobytes() == ref.tobytes()
+            else:
+                assert np.max(np.abs(got - ref)) <= 1e-11
+
+
+def _lyapunov_digits(v, E, L, digits=50):
+    """Oracle: (1/L) ln ||M_E(L)|| from the site-by-site product in
+    `digits`-digit mpmath arithmetic (E and the potential enter exactly)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
+        e = mpmath.mpf(float(E))
+        m11, m12, m21, m22 = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(1)
+        for x in v:
+            d = e - mpmath.mpf(float(x))
+            m11, m12, m21, m22 = d * m11 - m21, d * m12 - m22, m11, m12
+        t = m11 ** 2 + m12 ** 2 + m21 ** 2 + m22 ** 2
+        det = m11 * m22 - m12 * m21
+        return float(mpmath.log(mpmath.sqrt((t + mpmath.sqrt(t * t - 4 * det * det)) / 2)) / L)
+
+
+@pytest.mark.parametrize("model,energies", [
+    # band centres of sigma_8 (the first three) and gap energies
+    ("q5", [1.7776758168486193, 0.22232418315138186, 1.2990887900586154, -0.8818, -2.5, 3.0]),
+    # band centres of sigma_12 and gap energies
+    ("fibonacci", [-1.0851752888850965, 1.4525087579781024, -0.43159015440330095, 3.0, -1.5]),
+])
+def test_lyapunov_many_segments_against_50_digit_product(bench_specs, model, energies):
+    # Two segments and a one-site remainder. In the spectrum ||M_E(L)|| is
+    # far smaller than the product of the segment norms, and the chained
+    # product loses up to about 3 digits against the site loop: at q5
+    # E = 1.7777 gamma is off by 1.9e-11 where the site loop is off by
+    # 3.0e-14, and at E = -0.8818 by 1.4e-12 against 3.8e-14. Gap energies
+    # lose nothing (worst seen 7e-16).
+    pytest.importorskip("mpmath")
+    spec = bench_specs[model]
+    L, shift = 2 * _MIN_SEGMENT + 37, 5
+    energies = np.array(energies)
+    assert _layout(spec, energies, L, 2 * len(energies))[0] == 2 and L % 2 == 1
+    got = lyapunov_many(spec, energies, L, shift=shift)
+    v = spec.potential_values(qs_prefix(spec, L, shift=shift))
+    for E, g in zip(energies, got):
+        assert abs(g - _lyapunov_digits(v, E, L)) <= 5e-11, E
+
+
+@pytest.mark.parametrize("big", [1e5, 1e7])
+def test_lyapunov_large_potential_stays_finite_in_segments(big, tmp_path, capsys):
+    # As test_lyapunov_large_potential_stays_finite, over two segments: the
+    # segment matrices left by a last, unrenormalized chunk are rescaled
+    # before they are chained.
+    model = json.loads((BENCH_MODELS / "fibonacci.json").read_text())
+    model["potential"] = {"a": big, "b": 0.0}
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(model))
+    L = 2 * _MIN_SEGMENT
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["lyapunov", str(path), "--length", str(L), "--grid", "5"])
+    out = capsys.readouterr()
+    assert code == 0, out.err
+    assert "# segments=2" in out.out.splitlines()
+    rows = [line.split(",") for line in out.out.splitlines()
+            if line and not line.startswith(("#", "E,"))]
+    energies, gammas = np.array(rows, dtype=float).T
+    want = _lyapunov_sites(ModelSpec.from_json(model), energies, L, every=1)
+    assert np.all(np.isfinite(gammas))
+    assert np.max(np.abs(gammas - want)) <= 1e-8
+
+
 # ------------------------------------------------------------------ solutions
 
 def test_solve_matches_transfer_matrix(fib_spec):
@@ -295,6 +386,36 @@ def test_solve_matches_transfer_matrix(fib_spec):
     M = word_matrix(E, w, fib_spec.potential)
     assert M @ np.array([0.5, 1.0]) == pytest.approx(
         np.array([seg.values[L + 1], seg.values[L]]))
+
+
+def _solve_sites(spec, E, shift, phi0, phi1, L):
+    """Oracle: the per-site loop solve ran before the lane kernel."""
+    v = spec.potential_values(qs_prefix(spec, L, shift=shift))
+    phi = np.empty(L + 2)
+    phi[0] = phi0
+    phi[1] = phi1
+    for n in range(1, L + 1):
+        phi[n + 1] = (E - v[n - 1]) * phi[n] - phi[n - 1]
+    return phi
+
+
+@pytest.mark.parametrize("model,E,L", [
+    ("fibonacci", 1.4525087579781024, 1000),
+    ("q5", 1.2990887900586154, 129),   # two chunks and a site
+    ("digits", 0.37894771296405877, 64),
+    ("prefixed", 4.0, 3000),           # overflows to inf and then nan
+    ("q5", 0.5, 1),
+])
+def test_solve_matches_site_loop(bench_specs, model, E, L):
+    # bit for bit, and off the spectrum no RuntimeWarning escapes
+    spec = bench_specs[model]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _solve_sites(spec, E, 97, 0.6, 0.8, L)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        seg = solve(spec, E, 97, 0.6, 0.8, L)
+    assert seg.values.tobytes() == want.tobytes()
+    assert seg.normalized and seg.energy == E and seg.shift == 97
 
 
 def test_solve_guards(fib_spec):
@@ -404,6 +525,66 @@ def test_growth_exponents_degenerate_fit_matches_site_loop(bench_specs):
         _growth_sites(spec, 50.0, 0, 1000)
     with pytest.raises(DegenerateFit, match=re.escape(str(want.value))):
         growth_exponents(spec, 50.0, 0, 1000)
+
+
+def _fit_sizes(monkeypatch):
+    """The number of dyadic scales of each np.polyfit call from here on."""
+    sizes = []
+    polyfit = np.polyfit
+
+    def spy(x, y, deg):
+        sizes.append(len(x))
+        return polyfit(x, y, deg)
+
+    monkeypatch.setattr(np, "polyfit", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("L_max", SEGMENT_LENGTHS)
+def test_growth_exponents_segments_match_site_loop(bench_specs, monkeypatch, L_max):
+    # 12 segments at 10^5 sites. The entry state of each segment comes from
+    # the chained matrices of those before it, so past one segment the
+    # exponents agree with the site loop to 1e-8 (worst seen 2.7e-11), and
+    # the escape and the dyadic scales kept are the same; at one segment
+    # they are the site loop's, bit for bit.
+    centres = {"fibonacci": 1.4525087579781024, "q5": 1.2990887900586154,
+               "digits": 0.37894771296405877, "prefixed": 0.6357801009742721}
+    sizes = _fit_sizes(monkeypatch)
+    for i, (model, E) in enumerate(centres.items()):
+        spec = bench_specs[model]
+        assert _layout(spec, [E], L_max, 32)[0] == max(1, L_max // _MIN_SEGMENT)
+        # the site loop takes about 1.4 s at 10^5 sites, so there each model
+        # runs one of the two shifts
+        for shift in (0, 97) if L_max < 100_000 else ((0, 97)[i % 2],):
+            want = _growth_sites(spec, E, shift, L_max)
+            got = growth_exponents(spec, E, shift, L_max)
+            assert sizes[-1] == sizes[-2]
+            if L_max < 2 * _MIN_SEGMENT:
+                assert got == want
+            else:
+                assert abs(got.gamma1 - want.gamma1) <= 1e-8
+                assert abs(got.gamma2 - want.gamma2) <= 1e-8
+                assert got.escaped == want.escaped
+
+
+@pytest.mark.parametrize("model,E", [
+    # just outside a band: phi passes 1e100 at site 35,803 (shift 0), in the
+    # fifth of twelve segments
+    ("fibonacci", -1.0558889722430609),
+    ("q5", -0.8755938984746188),  # at site 38,388, in the fifth
+])
+def test_growth_exponents_escape_after_first_segment(bench_specs, monkeypatch, model, E):
+    spec = bench_specs[model]
+    L_max = 100_000
+    sizes = _fit_sizes(monkeypatch)
+    for shift in (0, 5):
+        want = _growth_sites(spec, E, shift, L_max)
+        got = growth_exponents(spec, E, shift, L_max)
+        assert want.escaped and got.escaped
+        # both keep the scales up to 2^15, past the first segment's 8,333 sites
+        assert sizes[-1] == sizes[-2] == 13
+        assert abs(got.gamma1 - want.gamma1) <= 1e-8
+        assert abs(got.gamma2 - want.gamma2) <= 1e-8
 
 
 # ---------------------------------------------------------------- Sturm counts
