@@ -434,8 +434,9 @@ def _dyadic_norms(spec: ModelSpec, E: float, shift: int, L_max: int,
     by side (see _layout), the last one also taking the L_max mod S sites
     left over. The transfer matrices of the segments give each one's entry
     state, and one sweep from those states takes the sums of squares, the
-    escape test and the dyadic norms; an escape is the earliest in segment
-    order, and one inside the first segment ends the sweep there.
+    escape test and the dyadic norms. An escape is the earliest in segment
+    order: the segments from the first that escapes on leave the sweep, which
+    ends when the first segment escapes.
     """
     angles = np.pi * np.arange(_N_ANGLES) / _N_ANGLES
     v = spec.potential_values(qs_prefix(spec, L_max, shift=shift))
@@ -474,22 +475,30 @@ def _dyadic_norms(spec: ModelSpec, E: float, shift: int, L_max: int,
         sq = np.zeros((C + 1, S, _N_ANGLES))
         sq[0, 0] = x_prev[0] ** 2
         esc = np.zeros(S, dtype=np.intp)  # local site after which phi escapes
-        n0 = 0
-        for buf, c in _sweep(np.full(_N_ANGLES, E), sites, x_prev, x0, C):
-            np.square(buf[1:c + 1], out=sq[1:c + 1])
-            for i in np.flatnonzero((pos > n0) & (pos <= n0 + c)):
+        lanes = np.full(_N_ANGLES, E)
+        live = S  # the segments before the first that has escaped
+        sweep = _sweep(lanes, sites, x_prev, x0, C)
+        for n0 in range(0, own[-1], C):
+            buf, c = next(sweep)
+            np.square(buf[1:c + 1], out=sq[1:c + 1, :live])
+            for i in np.flatnonzero((pos > n0) & (pos <= n0 + c) & (seg < live)):
                 np.add.reduce(sq[:pos[i] - n0 + 1, seg[i]], axis=0, out=at[i])
             # phi(n + 1) past the escape magnitude ends the scan after site
-            # n, where n is a site its segment owns; a NaN, left where a
-            # segment has escaped, sends the chunk to the full test too.
+            # n, where n is a site its segment owns; a NaN sends the chunk to
+            # the full test too.
             if not np.abs(buf[2:c + 2]).max() <= _ESCAPE_MAGNITUDE:
                 big = np.abs(buf[2:c + 2]).max(axis=2) > _ESCAPE_MAGNITUDE
-                big &= np.arange(n0 + 1, n0 + c + 1)[:, None] <= own
-                esc += np.where(big.any(axis=0) & (esc == 0), n0 + big.argmax(axis=0) + 1, 0)
-                if esc[0]:
-                    break
-            sq[0] = np.add.reduce(sq[:c + 1], axis=0)
-            n0 += c
+                big &= np.arange(n0 + 1, n0 + c + 1)[:, None] <= own[:live]
+                hit = np.flatnonzero(big.any(axis=0))
+                if len(hit):
+                    live = hit[0]
+                    esc[live] = n0 + big[:, live].argmax() + 1
+                    if not live:
+                        break
+                    # Only the segments before it still count: sweep on
+                    # without the others.
+                    sweep = _sweep(lanes, sites[n0 + c:, :live], buf[c, :live], buf[c + 1, :live], C)
+            sq[0, :live] = np.add.reduce(sq[:c + 1, :live], axis=0)
         k = int(np.argmax(esc > 0))
         last = k * q + esc[k] if esc[k] else L_max
         # A sum up to a dyadic scale adds the ends of the segments before its own.
