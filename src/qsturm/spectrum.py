@@ -11,14 +11,15 @@ count-checked regula falsi steps to 2^-40 of its Gershgorin window (about
 
 from __future__ import annotations
 
+import itertools
 from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .errors import GridTooCoarse
+from .errors import GridTooCoarse, LengthBudgetExceeded
 from .tracemap import classify_many
 from .transfer import half_traces_many, sturm_counts
-from .words import ModelSpec, level_words_prime, qs_prefix
+from .words import DEFAULT_LENGTH_BUDGET, ModelSpec, _images, _sturmian_words, qs_prefix
 
 ENERGY_MARGIN = 0.5
 
@@ -71,14 +72,20 @@ def periodic_bands(spec: ModelSpec, n: int, tol: float = 1e-10) -> BandList:
 
     Band edges are located by sign-change bisection of |tau| - 2 on one grid
     of max(128 |s'_n|, 16384) cells over the energy window, refined to tol.
+    A grid of more than DEFAULT_LENGTH_BUDGET cells is refused before it is
+    allocated.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not tol > 0:
         raise ValueError("tol must be > 0")
-    expected = len(level_words_prime(spec, n)[n + 1])
-    lo, hi = energy_window(spec)
+    # |s'_n| from the level lengths: the word itself is not built
+    a, b = _images(spec)
+    expected = next(itertools.islice(_sturmian_words(spec.cf, len(a), len(b)), n + 1, None))
     cells = max(128 * expected, 16384)
+    if cells > DEFAULT_LENGTH_BUDGET:
+        raise LengthBudgetExceeded(f"band grid of {cells} cells exceeds budget {DEFAULT_LENGTH_BUDGET}")
+    lo, hi = energy_window(spec)
     grid = np.linspace(lo, hi, cells + 1)
     inside = _in_band(spec, n, grid)
     if not inside.any():

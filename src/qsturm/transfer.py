@@ -14,7 +14,8 @@ from typing import Iterator, List, NamedTuple, Tuple
 import numpy as np
 
 from .errors import DegenerateFit, OutOfRange, ZeroInitialCondition
-from .words import ModelSpec, Word, level_words_prime, qs_prefix
+from .words import (ModelSpec, Word, _images, _ostrowski_digits, _window_end, level_words_prime,
+                    qs_prefix)
 
 
 def local_matrix(E: float, v: float) -> np.ndarray:
@@ -81,17 +82,18 @@ def _mul(A: Entries, B: Entries) -> Entries:
             a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
 
 
-def _power(M: Entries, k: int) -> Entries:
-    """M^k for k >= 0 by square-and-multiply; M itself when k = 1, and the
-    identity (scalar entries) when k = 0."""
+def _power(M: Entries, k: int, mul=None) -> Entries:
+    """M^k for k >= 0 by square-and-multiply with mul (default _mul); M
+    itself when k = 1, and the identity (scalar entries) when k = 0."""
+    mul = mul or _mul
     result = None
     while True:
         if k & 1:
-            result = M if result is None else _mul(M, result)
+            result = M if result is None else mul(M, result)
         k >>= 1
         if not k:
             return (1.0, 0.0, 0.0, 1.0) if result is None else result
-        M = _mul(M, M)
+        M = mul(M, M)
 
 
 def level_matrices_many(spec: ModelSpec, energies: np.ndarray, n_max: int) -> List[np.ndarray]:
@@ -162,10 +164,12 @@ def half_traces_many(spec: ModelSpec, energies: np.ndarray, n: int) -> np.ndarra
 
 _RENORM_EVERY = 64
 
-# A long sweep runs its site sequence as S consecutive segments side by side,
-# as one more lane axis, so that each per-site numpy call covers S sites. No
-# segment is shorter than _MIN_SEGMENT sites, so sequences below twice that
-# run as one segment, with the arithmetic of the plain site loop; and a sweep
+# A long sweep of growth_exponents runs its site sequence as S consecutive
+# segments side by side, as one more lane axis, so that each per-site numpy
+# call covers S sites. No segment is shorter than _MIN_SEGMENT sites, so
+# sequences below twice that run as one segment, with the arithmetic of the
+# plain site loop; lyapunov_many sweeps those too, and takes longer windows
+# as products of level matrices (_window_factors). A sweep
 # holds at most about _MAX_LANES lanes, past which wider calls save little
 # and the buffers grow with S. Chosen by measurement; see CHANGES.md.
 _MIN_SEGMENT = 8192
@@ -187,8 +191,8 @@ def _chunk_sites(energies: np.ndarray, v: np.ndarray) -> int:
 def _layout(spec: ModelSpec, energies, L: int, lanes: int) -> Tuple[int, int]:
     """(S, C) of a sweep of L sites with `lanes` lanes per segment at these
     energies: S segments side by side, and C sites per chunk, by
-    _chunk_sites over the model's potential values. lyapunov_many and
-    growth_exponents take theirs here, and so does the CLI's metadata."""
+    _chunk_sites over the model's potential values. growth_exponents takes
+    its layout here, lyapunov_many its chunk, and so does the CLI's metadata."""
     S = max(1, min(L // _MIN_SEGMENT, _MAX_LANES // max(lanes, 1)))
     return S, _chunk_sites(np.asarray(energies, dtype=float),
                            np.array(list(spec.potential.values()), dtype=float))
@@ -263,46 +267,176 @@ def _products(energies: np.ndarray, v: np.ndarray, C: int) -> Tuple[Entries, np.
     return (m11, m12, m21, m22), logsum
 
 
-def _chain(m: Entries, logsum: np.ndarray) -> Tuple[Entries, np.ndarray]:
-    """The product M_{S-1} ... M_0 of the matrices that _products gives for
-    S segments, as entries (K,) and a log scale (K,): S - 1 entrywise
-    products, the running product divided by its largest entry after each
-    factor. Each factor is within 2^1000 of its largest entry being 1 (see
-    _chunk_sites), so no product overflows."""
-    P, logs = None, [logsum.sum(axis=0)]
-    for M in zip(*m):
-        P = M if P is None else _mul(M, P)
-        scale = np.maximum.reduce([np.abs(x) for x in P])
-        P = tuple(x / scale for x in P)
-        logs.append(np.log(scale))
-    return P, np.sum(logs, axis=0)
+# The window product. A double-double matrix is (hi, lo, e): entry arrays
+# hi and lo of shape (2, 2, K) whose sums carry about 106 bits (Dekker 1971;
+# Knuth, TAOCP 2, 4.2.2), scaled by 2^e, e an int64 array (K,), so that the
+# largest |hi| of each energy lies in [0.5, 1). numpy has no fused
+# multiply-add, so products are split (Dekker); the scaling is exact.
+
+_SPLIT = 134217729.0  # 2^27 + 1
+
+
+def _two_sum(a, b):
+    """fl(a + b) and its rounding error, exactly."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _dd_scaled(hi, lo, e):
+    """hi + lo renormalized and scaled by the power of two that brings the
+    largest |hi| of each energy to [0.5, 1); e collects the exponents."""
+    s = hi + lo
+    lo = lo - (s - hi)
+    _, k = np.frexp(np.abs(s).max(axis=(0, 1)))
+    return np.ldexp(s, -k), np.ldexp(lo, -k), e + k
+
+
+def _split(x):
+    """x as two halves of 26 bits each, whose products are exact (Dekker)."""
+    t = _SPLIT * x
+    t = t - (t - x)
+    return t, x - t
+
+
+def _dd_mul(A, B):
+    """The double-double product A B, rescaled by _dd_scaled."""
+    (ah, al, ae), (bh, bl, be) = A, B
+    # axes [i, k, j, energy]: the eight products A[i, k] B[k, j], exact in
+    # p + err up to the lo * lo terms
+    (a1, a2), (b1, b2) = _split(ah), _split(bh)
+    a1, a2, ah, al = (x[:, :, None] for x in (a1, a2, ah, al))
+    p = ah * bh
+    err = ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2 + (ah * bl + al * bh)
+    s, e = _two_sum(p[:, 0], p[:, 1])
+    return _dd_scaled(s, e + err[:, 0] + err[:, 1], ae + be)
+
+
+def _dd_sites(energies: np.ndarray, v: np.ndarray):
+    """Double-double product of the site matrices over potential values v,
+    the first site rightmost."""
+    one, zero = np.ones(len(energies)), np.zeros(len(energies))
+    P = None
+    for x in v:
+        d, dl = _two_sum(energies, -x)
+        T = _dd_scaled(np.array([[d, -one], [one, zero]]), np.array([[dl, zero], [zero, zero]]),
+                       np.zeros(len(energies), dtype=np.int64))
+        P = T if P is None else _dd_mul(T, P)
+    return P
+
+
+def _dd_log_norm(M) -> np.ndarray:
+    """ln of the spectral norm of a double-double matrix: half the log of the
+    largest eigenvalue of G = M^T M, (g11 + g22 + hypot(g11 - g22, 2 g12)) / 2,
+    a sum of nonnegative terms once G is accurate."""
+    hi, lo, e = M
+    g, gl, ge = _dd_mul((hi.transpose(1, 0, 2), lo.transpose(1, 0, 2), e), M)
+    g = g + gl
+    lam = 0.5 * (g[0, 0] + g[1, 1] + np.hypot(g[0, 0] - g[1, 1], 2.0 * g[0, 1]))
+    return 0.5 * (np.log(lam) + ge * np.log(2.0))
+
+
+def _window_factors(spec: ModelSpec, L: int, shift: int):
+    """The window u[shift:shift+L] of u = prefix . S(c_theta) as (images,
+    factors): the potential values of S(a) and S(b), and factors in word
+    order, each an array of potential values or a pair (j, m) for s'_j^m.
+
+    Its part in S(c_theta) ends in the image of c_theta[N], for the largest N
+    with |S(c_theta[:N])| at most that end, and S(c_theta[:N]) =
+    s'_k^{b_k} ... s'_0^{b_0} over N's Ostrowski digits. The copies of s'_j
+    before the window start are dropped, and the one it falls in gives a
+    suffix, which s'_j = s'_{j-1}^{a_j} s'_{j-2} splits into level factors
+    (Damanik, Killip and Lenz, CMP 212 (2000), tile Sturmian windows so).
+    Only the prefix and two partial images are left site by site.
+    """
+    end = _window_end(L, shift)
+    prefix = spec.potential_values(spec.prefix.recode(spec.subst.target_alphabet))
+    images = [spec.potential_values(w) for w in _images(spec)]
+    factors = [prefix[shift:end]] if shift < len(prefix) else []
+    lo, hi = max(shift - len(prefix), 0), end - len(prefix)
+    if hi <= 0:
+        return images, factors
+    digits, q = _ostrowski_digits(spec.cf, hi, [len(v) for v in images])  # q[j + 1] = |s'_j|
+
+    def suffix(j, r):
+        """Factors of the last r symbols of s'_j, 0 < r <= |s'_j|."""
+        if r == q[j + 1]:
+            return [(j, 1)]
+        if j < 1:
+            return [images[j + 1][-r:]]
+        if r <= q[j - 1]:
+            return suffix(j - 2, r)
+        m, t = divmod(r - q[j - 1], q[j])
+        return (suffix(j - 1, t) if t else []) + ([(j - 1, m)] if m else []) + [(j - 2, 1)]
+
+    pos = 0
+    for j in range(len(digits) - 1, -1, -1):
+        start, pos = pos, pos + digits[j] * q[j + 1]
+        if pos > lo:
+            m, r = divmod(pos - max(start, lo), q[j + 1])
+            factors += (suffix(j, r) if r else []) + ([(j, m)] if m else [])
+    if pos < hi:
+        # c_theta[N] ends c_theta[:N + 1], so it ends that prefix's lowest
+        # block s_j: a for odd j, b for even j
+        N = sum(b * n for b, n in zip(digits, _ostrowski_digits(spec.cf, hi)[1][1:]))
+        low = next(j for j, b in enumerate(_ostrowski_digits(spec.cf, N + 1)[0]) if b)
+        factors.append(images[1 - low % 2][max(lo - pos, 0):hi - pos])
+    return images, factors
+
+
+def _window_product(spec: ModelSpec, images, factors, word, mul):
+    """The matrix of the window that _window_factors describes, from word(v),
+    the matrix of the sites v, and mul(A, B) = A B. The level matrices M(j)
+    of s'_j are built up to the highest level a factor names, by M(1) =
+    M(-1) M(0)^{a_1 - 1} and M(j) = M(j-2) M(j-1)^{a_j}."""
+    levels = [word(v) for v in images]
+    for j in range(1, max((f[0] for f in factors if isinstance(f, tuple)), default=0) + 1):
+        k = spec.cf.coefficient(j) - (j == 1)
+        levels.append(mul(levels[-2], _power(levels[-1], k, mul)) if k else levels[-2])
+    P = None
+    for f in factors:
+        M = _power(levels[f[0] + 1], f[1], mul) if isinstance(f, tuple) else word(f)
+        P = M if P is None else mul(M, P)
+    return P
+
+
+def _window_products(spec: ModelSpec, L: int, shift: int) -> int:
+    """The 2x2 products per energy that form the window's matrix: the window
+    product run with counting stand-ins for the matrices."""
+    n = 0
+
+    def count(k):
+        nonlocal n
+        n += k
+        return 0
+
+    _window_product(spec, *_window_factors(spec, L, shift), lambda v: count(len(v) - 1),
+                    lambda A, B: count(1))
+    return n
 
 
 def lyapunov_many(spec: ModelSpec, energies: np.ndarray, L: int, shift: int = 0) -> np.ndarray:
-    """(1/L) ln ||M_E(L)|| (spectral norm) over an energy array, renormalizing
-    by the largest entry every 64 steps (fewer for a large potential, see
-    _chunk_sites) to avoid overflow.
+    """(1/L) ln ||M_E(L)|| (spectral norm) over an energy array.
 
-    From 2 _MIN_SEGMENT sites on (and lanes permitting, see _layout) the
-    sites run as S segments side by side, whose matrices, with the last
-    L mod S sites as one more factor, are chained by _chain.
+    Below 2 _MIN_SEGMENT sites the sites are swept, renormalizing by the
+    largest entry every 64 steps (fewer for a large potential, see
+    _chunk_sites) to avoid overflow. From there on the window's matrix is a
+    product of O(sum log a_k) level matrices (_window_factors), taken in
+    double-double (_dd_mul), _BATCH energies at a time.
     """
     if L < 1000:
         raise ValueError("lyapunov requires L >= 1000")
     energies = np.asarray(energies, dtype=float)
-    v = spec.potential_values(qs_prefix(spec, L, shift=shift))
-    S, C = _layout(spec, energies, L, 2 * len(energies))
-    q = L // S
-    m, logsum = _products(energies, v[:S * q].reshape(S, q).T, C)
-    if S > 1:
-        if S * q < L:
-            tail, tail_log = _products(energies, v[S * q:, None], C)
-            m = tuple(np.concatenate(x) for x in zip(m, tail))
-            logsum = np.concatenate((logsum, tail_log))
-        m, logsum = _chain(m, logsum)
-    else:
-        m, logsum = tuple(x[0] for x in m), logsum[0]
-    return (logsum + np.log(_spectral_norms(*m))) / L
+    if L < 2 * _MIN_SEGMENT:
+        v = spec.potential_values(qs_prefix(spec, L, shift=shift))
+        m, logsum = _products(energies, v[:, None], _layout(spec, energies, L, 1)[1])
+        return (logsum[0] + np.log(_spectral_norms(*(x[0] for x in m)))) / L
+    images, factors = _window_factors(spec, L, shift)
+    out = np.empty(len(energies))
+    for s in _batches(energies):
+        E = energies[s]
+        out[s] = _dd_log_norm(_window_product(spec, images, factors, lambda v: _dd_sites(E, v), _dd_mul))
+    return out / L
 
 
 def lyapunov(spec: ModelSpec, E: float, L: int, shift: int = 0) -> float:

@@ -277,9 +277,10 @@ class ModelSpec(_ModelSpecFields):
 AB = ("a", "b")
 
 
-def _sturmian_words(cf: ContinuedFraction, a: Word, b: Word):
+def _sturmian_words(cf: ContinuedFraction, a, b):
     """The Sturmian recursion started from s_{-1} = a, s_0 = b: s_{-1}, s_0,
-    s_1, ... one level at a time."""
+    s_1, ... one level at a time. Started from two lengths, it gives the
+    level lengths."""
     yield a
     yield b
     prev, cur = b, b * (cf.coefficient(1) - 1) + a
@@ -310,23 +311,60 @@ def sturmian_levels(cf: ContinuedFraction, n_max: int,
     return list(itertools.islice(_sturmian_words(cf, *_letters()), n_max + 2))
 
 
-def characteristic_prefix(cf: ContinuedFraction, length: int) -> Word:
-    """First `length` symbols of c_theta = lim s_n.
+def _ostrowski_digits(cf: ContinuedFraction, n: int,
+                      ell: Sequence[int] = (1, 1)) -> Tuple[List[int], List[int]]:
+    """Greedy Ostrowski digits of n >= 0 over the level lengths of images of
+    lengths ell = (|S(a)|, |S(b)|): (digits, lengths), digits[j] = b_j for
+    j = 0..k and lengths[j + 1] = |S(s_j)| for j = -1..k, where k >= 1 is the
+    first level with |S(s_k)| >= n.
 
-    c_theta starts with s_{n+1}, which starts with s_n^k for every k <= a_{n+1}
-    (k <= a_1 - 1 for n = 0); the prefix is cut from s_n^k at the first n where
-    k = ceil(length / |s_n|) is allowed, so no much longer level is built.
+    Over ell = (1, 1), c_theta[:n] = s_k^{b_k} ... s_0^{b_0} (Ostrowski
+    numeration; Allouche and Shallit, Automatic Sequences, 3.9). Over image
+    lengths the digits are those of the largest N with |S(c_theta[:N])| <= n,
+    so S(c_theta[:N]) = S(s_k)^{b_k} ... S(s_0)^{b_0}. Each digit below the
+    top is capped at a_{j+1} (a_1 - 1 for b_0); the caps bind only where
+    |S(s_j)| < |S(s_{j-1})|, at levels 0 and 1. Reads a_j only while
+    |S(s_{j-1})| < n, and a_1.
+    """
+    lengths = []
+    for q in _sturmian_words(cf, *ell):
+        lengths.append(q)
+        if len(lengths) > 2 and q >= n:
+            break
+    digits = []
+    k = len(lengths) - 2
+    for j in range(k, -1, -1):
+        b = n // lengths[j + 1]
+        if j < k:
+            b = min(b, cf.coefficient(j + 1) - (j == 0))
+        digits.append(b)
+        n -= b * lengths[j + 1]
+    return digits[::-1], lengths
+
+
+def characteristic_prefix(cf: ContinuedFraction, length: int) -> Word:
+    """First `length` symbols of c_theta = lim s_n: the blocks
+    s_k^{b_k} ... s_0^{b_0} of its Ostrowski digits, so no level longer than
+    `length` is built.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
     if length > DEFAULT_LENGTH_BUDGET:
         raise LengthBudgetExceeded(f"requested length {length} exceeds budget {DEFAULT_LENGTH_BUDGET}")
-    for n, s in enumerate(itertools.islice(_sturmian_words(cf, *_letters()), 1, None)):
-        if n >= 1 and len(s) >= length:
-            return s[:length]  # before reading a_{n+1}, which may not exist
-        k = -(-length // len(s))
-        if k <= cf.coefficient(n + 1) - (n == 0):
-            return (s * k)[:length]
+    digits, _ = _ostrowski_digits(cf, length)
+    top = max(j for j, b in enumerate(digits) if b)
+    levels = list(itertools.islice(_sturmian_words(cf, *_letters()), top + 2))
+    return Word(np.concatenate([(levels[j + 1] * digits[j]).codes for j in range(top, -1, -1)]), AB)
+
+
+def _images(spec: ModelSpec) -> Tuple[Word, Word]:
+    """S(a) and S(b) over the substitution's target alphabet."""
+    alphabet = spec.subst.target_alphabet
+    try:
+        a, b = (spec.subst.images[letter].recode(alphabet) for letter in AB)
+    except KeyError as e:
+        raise SymbolOutsideDomain(f"symbol {e.args[0]!r} outside substitution domain") from None
+    return a, b
 
 
 def level_words_prime(spec: ModelSpec, n_max: int) -> List[Word]:
@@ -335,26 +373,25 @@ def level_words_prime(spec: ModelSpec, n_max: int) -> List[Word]:
     S is a morphism, so s'_n follows the Sturmian recursion started from
     s'_{-1} = S(a) and s'_0 = S(b): only concatenations, no substitution.
     """
-    images = spec.subst.images
-    ell = max(len(img) for img in images.values())
+    ell = max(len(img) for img in spec.subst.images.values())
     _check_levels(spec.cf, n_max, max(1, DEFAULT_LENGTH_BUDGET // ell))
-    alphabet = spec.subst.target_alphabet
-    try:
-        a, b = (images[letter].recode(alphabet) for letter in AB)
-    except KeyError as e:
-        raise SymbolOutsideDomain(f"symbol {e.args[0]!r} outside substitution domain") from None
-    return list(itertools.islice(_sturmian_words(spec.cf, a, b), n_max + 2))
+    return list(itertools.islice(_sturmian_words(spec.cf, *_images(spec)), n_max + 2))
 
 
-def qs_prefix(spec: ModelSpec, length: int, shift: int = 0) -> Word:
-    """Symbols shift..shift+length-1 of u = prefix . S(c_theta)."""
+def _window_end(length: int, shift: int) -> int:
+    """shift + length for a window of u, which must fit the length budget."""
     if length < 1:
         raise ValueError("length must be >= 1")
     if shift < 0:
         raise ValueError("shift must be >= 0")
-    need = shift + length
-    if need > DEFAULT_LENGTH_BUDGET:
-        raise LengthBudgetExceeded(f"window end {need} exceeds budget {DEFAULT_LENGTH_BUDGET}")
+    if shift + length > DEFAULT_LENGTH_BUDGET:
+        raise LengthBudgetExceeded(f"window end {shift + length} exceeds budget {DEFAULT_LENGTH_BUDGET}")
+    return shift + length
+
+
+def qs_prefix(spec: ModelSpec, length: int, shift: int = 0) -> Word:
+    """Symbols shift..shift+length-1 of u = prefix . S(c_theta)."""
+    need = _window_end(length, shift)
     # each base symbol yields at least ell_min symbols, so u reaches need
     ell_min = min(len(img) for img in spec.subst.images.values())
     base_need = max(1, -(-max(1, need - len(spec.prefix)) // ell_min))

@@ -206,6 +206,35 @@ def test_tracemap_large_coefficient_is_fast(tmp_path, capsys):
     assert len(bounded) >= 9 and max(abs(i - 0.25) for i in bounded) <= 1e-9
 
 
+def test_large_coefficient_band_grid_fails_with_one_line(tmp_path, capsys):
+    # a_2 = 10^7: the band grid of level 2 (and of the default --nrange 3:10)
+    # is refused before it is allocated, with one line, not a MemoryError.
+    model = dict(FIB_MODEL, cf={"coeffs": [1, 10_000_000], "periodic": [1]},
+                 potential={"a": 1.0, "b": 0.0})
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(model))
+    for argv, cells in ((["bands", str(path), "--level", "2"], 1_280_000_128),
+                        (["spectrum", str(path)], 1_280_000_256)):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, ""), argv
+        assert err == (f"error: LengthBudgetExceeded: band grid of {cells} cells "
+                       f"exceeds budget 50000000\n"), argv
+
+
+@pytest.mark.parametrize("model", sorted(BENCH_CENTRES))
+def test_long_window_lyapunov_emits_no_runtime_warning(model, capsys):
+    # the window product over the whole energy window, gaps far off the
+    # spectrum included, at 10^6 sites
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(["lyapunov", str(BENCH_MODELS / f"{model}.json"),
+                              "--length", "1000000", "--shift", "7"], capsys)
+    assert code == 0, err
+    gammas = [float(line.split(",")[1]) for line in out.splitlines()
+              if line and not line.startswith(("#", "E,"))]
+    assert len(gammas) == 200 and all(math.isfinite(g) and g >= 0 for g in gammas)
+
+
 @pytest.mark.parametrize("model", sorted(BENCH_CENTRES))
 def test_transport_commands_emit_no_runtime_warning(model, capsys):
     path = str(BENCH_MODELS / f"{model}.json")
@@ -264,29 +293,33 @@ def test_lyapunov_output_grid(free_path, capsys):
 
 
 def test_transfer_commands_record_segments_and_chunk(tmp_path, capsys):
-    # lyapunov and alpha report the segments their sweep ran side by side
-    # and its sites per renormalization chunk, the same on every run.
+    # alpha reports the segments its sweep ran side by side and its sites
+    # per renormalization chunk; lyapunov its chunk where it swept the sites,
+    # and its 2x2 products per energy where it took the window product. Each
+    # is the same on every run.
     q5 = str(BENCH_MODELS / "q5.json")
     E = repr(BENCH_CENTRES["q5"])
     large = dict(json.loads((BENCH_MODELS / "fibonacci.json").read_text()), potential={"a": 1e7, "b": 0.0})
     (tmp_path / "large.json").write_text(json.dumps(large))
     cases = [
-        (["lyapunov", q5, "--length", "16383"], 1, 64),
-        (["lyapunov", q5, "--length", "16384", "--grid", "1"], 2, 64),
-        # two lanes per energy: 400 lanes, so two of the 12 possible segments
-        (["lyapunov", q5, "--length", "100000"], 2, 64),
-        (["lyapunov", q5, "--length", "100000", "--grid", "3"], 12, 64),
-        (["alpha", q5, "--energy", E, "--lmax", "16383"], 1, 64),
-        (["alpha", q5, "--energy", E, "--lmax", "100000"], 12, 64),
+        (["lyapunov", q5, "--length", "16383"], ["# chunk=64"]),
+        # the products depend on the window, not on the grid
+        (["lyapunov", q5, "--length", "16384", "--grid", "1"], ["# factors=32"]),
+        (["lyapunov", q5, "--length", "100000"], ["# factors=40"]),
+        (["lyapunov", q5, "--length", "100000", "--grid", "3"], ["# factors=40"]),
+        (["lyapunov", q5, "--length", "100000", "--shift", "5"], ["# factors=56"]),
+        (["alpha", q5, "--energy", E, "--lmax", "16383"], ["# chunk=64", "# segments=1"]),
+        (["alpha", q5, "--energy", E, "--lmax", "100000"], ["# chunk=64", "# segments=12"]),
         # 1000 / log2(2 + max|E| + max|v|) sites per chunk, where the energy
         # window and the potential both reach past 10^7
-        (["lyapunov", str(tmp_path / "large.json"), "--length", "2000", "--grid", "5"], 1, 41),
+        (["lyapunov", str(tmp_path / "large.json"), "--length", "2000", "--grid", "5"], ["# chunk=41"]),
     ]
-    for argv, segments, chunk in cases:
+    for argv, tail in cases:
         code, out, err = run(argv, capsys)
         assert code == 0, err
         meta = [line for line in out.splitlines() if line.startswith("#")]
-        assert meta[-2:] == [f"# chunk={chunk}", f"# segments={segments}"], argv
+        assert meta[-len(tail):] == tail and not meta[-len(tail) - 1].startswith(
+            ("# chunk", "# factors", "# segments")), argv
         assert run(argv, capsys)[1] == out
     code, out, err = run(cases[-2][0] + ["--format", "json"], capsys)
     assert code == 0, err

@@ -12,6 +12,7 @@ import pytest
 
 from qsturm import spectrum
 from qsturm.contfrac import ContinuedFraction
+from qsturm.errors import LengthBudgetExceeded
 from qsturm.spectrum import (
     BandList,
     _runs,
@@ -23,7 +24,7 @@ from qsturm.spectrum import (
     tridiagonal_eigenvalues,
 )
 from qsturm.transfer import half_traces_many
-from qsturm.words import ModelSpec, Substitution, Word
+from qsturm.words import DEFAULT_LENGTH_BUDGET, ModelSpec, Substitution, Word
 
 
 # ------------------------------------------------------------------- BandList
@@ -129,6 +130,24 @@ def test_bad_arguments(fib_spec):
             periodic_bands(fib_spec, 3, tol=tol)
     with pytest.raises(ValueError):
         measure_report(fib_spec, [])
+
+
+def test_band_grid_over_budget_refused_before_allocating():
+    # a_2 = 10^7: |s'_2| = 10^7 + 1 asks for a grid of 1.28e9 cells, which
+    # would take 9.5 GiB. Neither the grid nor the level word is built.
+    spec = ModelSpec(ContinuedFraction((1, 10**7), (1,)), Substitution.identity(),
+                     Word.from_str("", ("a", "b")), {"a": 1.0, "b": 0.0})
+    assert periodic_bands(spec, 1).band_count == 1
+    for n, cells in ((2, 1_280_000_128), (3, 1_280_000_256)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(LengthBudgetExceeded,
+                               match=f"^band grid of {cells} cells exceeds budget {DEFAULT_LENGTH_BUDGET}$"):
+                periodic_bands(spec, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, peak
 
 
 # ----------------------------------------------------------------- stable set

@@ -4,6 +4,7 @@ import decimal
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qsturm.transfer
 from qsturm.cli import main
 from qsturm.errors import DegenerateFit, OutOfRange, ZeroInitialCondition
 from qsturm.spectrum import energy_window
@@ -24,6 +26,8 @@ from qsturm.transfer import (
     _chunk_sites,
     _layout,
     _spectral_norms,
+    _window_factors,
+    _window_products,
     gordon_residual,
     growth_exponents,
     half_traces_many,
@@ -353,11 +357,102 @@ def test_lyapunov_many_segments_against_50_digit_product(bench_specs, model, ene
         assert abs(g - _lyapunov_digits(v, E, L)) <= 5e-11, E
 
 
+@pytest.mark.parametrize("model,energies", [
+    # q5 band centres where the segmented sweep was off by 2.3e-7 and
+    # 1.7e-9, and a fibonacci band centre
+    ("q5", [-1.3763462959091761, 3.3763438452369474]),
+    ("fibonacci", [-1.0976174165235704]),
+])
+@pytest.mark.parametrize("L,shift", [(16_421, 5), (16_422, 0)])
+def test_lyapunov_window_against_50_digit_product(bench_specs, model, energies, L, shift):
+    # The window product in double-double: within 1e-13 of the 50-digit
+    # site product (worst seen 4.3e-19).
+    pytest.importorskip("mpmath")
+    spec = bench_specs[model]
+    got = lyapunov_many(spec, np.array(energies), L, shift=shift)
+    v = spec.potential_values(qs_prefix(spec, L, shift=shift))
+    for E, g in zip(energies, got):
+        assert abs(g - _lyapunov_digits(v, E, L)) <= 1e-13, E
+
+
+# Models whose Ostrowski digits over the image lengths are capped below the
+# greedy quotient: |S(a)| > |S(b)| caps b_0 at a_1 - 1, and a_1 = 1 with
+# |S(a)| < |S(b)| caps b_1 at a_2. Each has a transient prefix.
+CAPPED_MODELS = {
+    "long_a": {"cf": {"coeffs": [3, 2, 1], "periodic": [2, 1]},
+               "substitution": {"a": "0110", "b": "1"}, "prefix": "10110",
+               "potential": {"0": 0.0, "1": 1.0}},
+    "a1_is_1": {"cf": {"coeffs": [1, 4], "periodic": [1, 3]},
+                "substitution": {"a": "01", "b": "110"}, "prefix": "0",
+                "potential": {"0": 0.0, "1": 1.0}},
+}
+
+
+def _window_specs(bench_specs):
+    return {**bench_specs, **{k: ModelSpec.from_json(d) for k, d in CAPPED_MODELS.items()}}
+
+
+@given(model=st.sampled_from(["fibonacci", "q5", "digits", "prefixed", *CAPPED_MODELS]),
+       L=st.integers(min_value=1, max_value=3000), shift=st.integers(min_value=0, max_value=3000))
+@settings(max_examples=200, deadline=None)
+def test_window_factors_spell_the_window(bench_specs, model, L, shift):
+    # Expanded symbol by symbol, the factors are the window of u: site
+    # arrays as they are, (j, m) as m copies of s'_j.
+    spec = _window_specs(bench_specs)[model]
+    images, factors = _window_factors(spec, L, shift)
+    n = next(n for n in range(1, 40) if len(level_words_prime(spec, n)[-1]) > 6000)
+    levels = [spec.potential_values(w) for w in level_words_prime(spec, n)]
+    assert [x.tolist() for x in images] == [x.tolist() for x in levels[:2]]
+    got = np.concatenate([np.tile(levels[f[0] + 1], f[1]) if isinstance(f, tuple) else f
+                          for f in factors])
+    assert got.tolist() == spec.potential_values(qs_prefix(spec, L, shift=shift)).tolist()
+
+
+@pytest.mark.parametrize("model", ["prefixed", *CAPPED_MODELS])
+@pytest.mark.parametrize("L", [2 * _MIN_SEGMENT, 2 * _MIN_SEGMENT + 37])
+def test_lyapunov_window_matches_site_loop_on_shifts(bench_specs, model, L):
+    # Windows that start in the transient prefix (shifts 0 and 1 on
+    # prefixed), at its end, and inside partial images.
+    spec = _window_specs(bench_specs)[model]
+    energies = np.linspace(*energy_window(spec), 200)
+    for shift in (0, 1, 2, 3, 5, 999):
+        got = lyapunov_many(spec, energies, L, shift=shift)
+        assert np.max(np.abs(got - _lyapunov_sites(spec, energies, L, shift))) <= 1e-11, shift
+
+
+def test_window_products_count_the_kernel_products(bench_specs, monkeypatch):
+    # The CLI's factors metadata is the number of double-double products per
+    # batch of energies, besides the one of the spectral norm.
+    products = []
+    dd_mul = qsturm.transfer._dd_mul
+    monkeypatch.setattr(qsturm.transfer, "_dd_mul", lambda A, B: products.append(1) or dd_mul(A, B))
+    for model, L, shift in [("q5", 100_000, 0), ("digits", 16_421, 5), ("prefixed", 20_000, 1)]:
+        spec = bench_specs[model]
+        products.clear()
+        lyapunov_many(spec, np.linspace(*energy_window(spec), 3), L, shift=shift)
+        assert len(products) == _window_products(spec, L, shift) + 1
+
+
+def test_lyapunov_long_window_builds_no_word(bench_specs):
+    # 10^7 sites of q5 as 46 level products: no 10^7-symbol window is built
+    # (that alone would take 80 MB of potential values).
+    spec = bench_specs["q5"]
+    energies = np.linspace(*energy_window(spec), 200)
+    tracemalloc.start()
+    try:
+        got = lyapunov_many(spec, energies, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20 * 4, peak
+    assert np.all(np.isfinite(got)) and np.all(got >= 0)
+
+
 @pytest.mark.parametrize("big", [1e5, 1e7])
 def test_lyapunov_large_potential_stays_finite_in_segments(big, tmp_path, capsys):
-    # As test_lyapunov_large_potential_stays_finite, over two segments: the
-    # segment matrices left by a last, unrenormalized chunk are rescaled
-    # before they are chained.
+    # As test_lyapunov_large_potential_stays_finite, through the window
+    # product of 24 level products: every site and level matrix is rescaled
+    # by a power of two before it is multiplied.
     model = json.loads((BENCH_MODELS / "fibonacci.json").read_text())
     model["potential"] = {"a": big, "b": 0.0}
     path = tmp_path / "large.json"
@@ -368,7 +463,7 @@ def test_lyapunov_large_potential_stays_finite_in_segments(big, tmp_path, capsys
         code = main(["lyapunov", str(path), "--length", str(L), "--grid", "5"])
     out = capsys.readouterr()
     assert code == 0, out.err
-    assert "# segments=2" in out.out.splitlines()
+    assert "# factors=24" in out.out.splitlines()
     rows = [line.split(",") for line in out.out.splitlines()
             if line and not line.startswith(("#", "E,"))]
     energies, gammas = np.array(rows, dtype=float).T

@@ -36,6 +36,7 @@ from qsturm.words import (
     sturmian_levels,
     substitute,
     _build_index,
+    _ostrowski_digits,
 )
 
 BENCH = ("fibonacci", "q5", "digits", "prefixed")
@@ -132,6 +133,28 @@ def test_sturmian_levels_refuses_overflowing_level():
     # |s_2| = 2^64 + 1 does not fit 64 bits: refused before it is built
     with pytest.raises(IntegerOverflow, match=r"^convergent q_2 exceeds 64-bit range$"):
         sturmian_levels(ContinuedFraction((1, 2**64)), 2)
+
+
+@pytest.mark.parametrize("model", ["fibonacci", "q5", "digits", "prefixed", "a2_is_10^7"])
+def test_ostrowski_blocks_concatenate_to_characteristic_prefix(bench_specs, model):
+    # c_theta[:N] = s_k^{b_k} ... s_0^{b_0} over the greedy Ostrowski digits
+    # of N, which obey 0 <= b_0 < a_1, b_j <= a_{j+1}, and b_{j-1} = 0 where
+    # b_j = a_{j+1}. Oracle: the first q_k - 2 symbols of c_theta are those
+    # of the characteristic word of p_k / q_k, floor((n + 2) p/q) -
+    # floor((n + 1) p/q), 1 for a and 0 for b.
+    cf = ContinuedFraction((1, 10**7), (1,)) if model == "a2_is_10^7" else bench_specs[model].cf
+    k = next(k for k in range(1, 40) if approximants(cf, k)[1] >= 2402)
+    p, q = approximants(cf, k)
+    oracle = "".join("ab"[((n + 1) * p) // q - ((n + 2) * p) // q + 1] for n in range(2400))
+    levels = [w.to_str() for w in sturmian_levels(cf, k - 1)]
+    for N in range(1, 2401):
+        digits, lengths = _ostrowski_digits(cf, N)
+        assert sum(b * n for b, n in zip(digits, lengths[1:])) == N
+        for j, b in enumerate(digits[:-1]):
+            assert b <= cf.coefficient(j + 1) - (j == 0) and (b < cf.coefficient(j + 1) or not j
+                                                            or not digits[j - 1]), (N, digits)
+        blocks = "".join(levels[j + 1] * b for j, b in reversed(list(enumerate(digits))) if b)
+        assert blocks == oracle[:N] == characteristic_prefix(cf, N).to_str(), N
 
 
 @pytest.mark.parametrize("coeffs,expected", [((1, 2**40), "aaaaa"), ((2**64, 1), "bbbbb")],
