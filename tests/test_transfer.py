@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsturm.transfer
+import qsturm.window
 from qsturm.cli import main
 from qsturm.errors import DegenerateFit, OutOfRange, ZeroInitialCondition
 from qsturm.spectrum import energy_window
@@ -26,7 +27,6 @@ from qsturm.transfer import (
     _chunk_sites,
     _layout,
     _spectral_norms,
-    _window_factors,
     _window_products,
     gordon_residual,
     growth_exponents,
@@ -43,6 +43,7 @@ from qsturm.transfer import (
     sturm_counts,
     word_matrix,
 )
+from qsturm.window import _window_factors
 from qsturm.words import ModelSpec, Word, find_squares, level_words_prime, qs_prefix
 
 BENCH_MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "models"
@@ -424,8 +425,9 @@ def test_window_products_count_the_kernel_products(bench_specs, monkeypatch):
     # The CLI's factors metadata is the number of double-double products per
     # batch of energies, besides the one of the spectral norm.
     products = []
-    dd_mul = qsturm.transfer._dd_mul
-    monkeypatch.setattr(qsturm.transfer, "_dd_mul", lambda A, B: products.append(1) or dd_mul(A, B))
+    dd_mul = qsturm.window._dd_mul
+    for module in (qsturm.window, qsturm.transfer):
+        monkeypatch.setattr(module, "_dd_mul", lambda A, B: products.append(1) or dd_mul(A, B))
     for model, L, shift in [("q5", 100_000, 0), ("digits", 16_421, 5), ("prefixed", 20_000, 1)]:
         spec = bench_specs[model]
         products.clear()
