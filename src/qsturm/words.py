@@ -353,12 +353,8 @@ def characteristic_prefix(cf: ContinuedFraction, length: int) -> Word:
         raise LengthBudgetExceeded(f"requested length {length} exceeds budget {DEFAULT_LENGTH_BUDGET}")
     digits, _ = _ostrowski_digits(cf, length)
     top = max(j for j, b in enumerate(digits) if b)
-    out = np.empty(length, dtype=np.int32)
-    for s, b in zip(itertools.islice(_sturmian_words(cf, *_letters()), 1, top + 2), digits):
-        # the blocks from s_0 up fill the word from its end
-        out[length - b * len(s):length].reshape(b, len(s))[:] = s.codes
-        length -= b * len(s)
-    return Word(out, AB)
+    levels = list(itertools.islice(_sturmian_words(cf, *_letters()), top + 2))
+    return Word(np.concatenate([(levels[j + 1] * digits[j]).codes for j in range(top, -1, -1)]), AB)
 
 
 def _images(spec: ModelSpec) -> Tuple[Word, Word]:

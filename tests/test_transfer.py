@@ -448,6 +448,7 @@ def test_lyapunov_long_window_builds_no_word(bench_specs):
         tracemalloc.stop()
     assert peak < 2**20 * 4, peak
     assert np.all(np.isfinite(got)) and np.all(got >= 0)
+    assert lyapunov_many(spec, energies[:0], 10**7).shape == (0,)
 
 
 @pytest.mark.parametrize("big", [1e5, 1e7])
