@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateFit, OutOfRange, ZeroInitialCondition
 from .window import _dd_log_norm, _dd_mul, _dd_sites, _window_factors
-from .words import ModelSpec, Word, level_words_prime, qs_prefix
+from .words import ModelSpec, Word, _images, level_words_prime, qs_prefix
 
 
 def local_matrix(E: float, v: float) -> np.ndarray:
@@ -29,14 +29,14 @@ def word_matrix(E: float, w: Word, f) -> np.ndarray:
     f is a mapping from alphabet labels to potential values (a dict or a
     ModelSpec potential).
     """
-    return _stack(_word_entries(np.array([E], dtype=float), w, f))[0]
+    return _stack(_word_entries(np.array([E], dtype=float), [f[s] for s in w]))[0]
 
 
 def level_matrices(spec: ModelSpec, E: float, n_max: int) -> List[np.ndarray]:
     """M(n) for n = -1..n_max (list index i holds M(i-1)).
 
-    M(-1), M(0), M(1) come from the words S(a), S(b), S(s_1); higher levels
-    use M(n) = M(n-2) M(n-1)^{a_n}.
+    M(-1) and M(0) come from the words S(a) and S(b); M(1) = M(-1)
+    M(0)^{a_1 - 1} and M(n) = M(n-2) M(n-1)^{a_n} (see _levels).
     """
     return [M[0] for M in level_matrices_many(spec, np.array([E], dtype=float), n_max)]
 
@@ -58,15 +58,16 @@ def initial_triple(spec: ModelSpec, E: float) -> TraceTriple:
 Entries = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _word_entries(energies: np.ndarray, w: Word, f) -> Entries:
-    """word_matrix vectorized over an energy array, as entries (m11, m12, m21, m22)."""
+def _word_entries(energies: np.ndarray, v) -> Entries:
+    """The matrix of the sites with potential values v, vectorized over an
+    energy array, as entries (m11, m12, m21, m22)."""
     K = len(energies)
     m11 = np.ones(K)
     m12 = np.zeros(K)
     m21 = np.zeros(K)
     m22 = np.ones(K)
-    for s in w:
-        d = energies - f[s]
+    for x in v:
+        d = energies - x
         m11, m12, m21, m22 = d * m11 - m21, d * m12 - m22, m11, m12
     return m11, m12, m21, m22
 
@@ -96,15 +97,24 @@ def _power(M: Entries, k: int, mul=None) -> Entries:
         M = mul(M, M)
 
 
+def _levels(spec: ModelSpec, n: int, sites, mul) -> list:
+    """The level matrices M(-1), ..., M(n) of s'_{-1}, ..., s'_n (list index
+    i holds M(i-1)), from sites(v), the matrix of the sites with potential
+    values v, and mul(A, B) = A B: M(-1) and M(0) are the matrices of S(a)
+    and S(b), M(1) = M(-1) M(0)^{a_1 - 1} and M(j) = M(j-2) M(j-1)^{a_j}."""
+    levels = [sites(spec.potential_values(w)) for w in _images(spec)]
+    for j in range(1, n + 1):
+        k = spec.cf.coefficient(j) - (j == 1)
+        levels.append(mul(levels[-2], _power(levels[-1], k, mul)) if k else levels[-2])
+    return levels
+
+
 def level_matrices_many(spec: ModelSpec, energies: np.ndarray, n_max: int) -> List[np.ndarray]:
     """level_matrices over an energy array; each entry has shape (K, 2, 2)."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     energies = np.asarray(energies, dtype=float)
-    mats = [_word_entries(energies, w, spec.potential) for w in level_words_prime(spec, 1)]
-    for n in range(2, n_max + 1):
-        mats.append(_mul(mats[-2], _power(mats[-1], spec.cf.coefficient(n))))
-    return [_stack(m) for m in mats]
+    return [_stack(m) for m in _levels(spec, n_max, lambda v: _word_entries(energies, v), _mul)]
 
 
 def _trace_step(a: int, x, y, z):
@@ -134,11 +144,9 @@ def _batches(energies: np.ndarray) -> List[slice]:
 def initial_triple_many(spec: ModelSpec, energies: np.ndarray
                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     energies = np.asarray(energies, dtype=float)
-    f = spec.potential
-    _, w0, w1 = level_words_prime(spec, 1)
     out = np.empty((3, len(energies)))
     for s in _batches(energies):
-        m0, m1 = _word_entries(energies[s], w0, f), _word_entries(energies[s], w1, f)
+        _, m0, m1 = _levels(spec, 1, lambda v: _word_entries(energies[s], v), _mul)
         for row, m in zip(out, (m0, m1, _mul(m1, m0))):
             np.multiply(0.5, m[0] + m[3], out=row[s])
     return out[0], out[1], out[2]
@@ -168,10 +176,9 @@ _RENORM_EVERY = 64
 # segments side by side, as one more lane axis, so that each per-site numpy
 # call covers S sites. No segment is shorter than _MIN_SEGMENT sites, so
 # sequences below twice that run as one segment, with the arithmetic of the
-# plain site loop; lyapunov_many sweeps those too, and takes longer windows
-# as products of level matrices (_window_factors). A sweep
-# holds at most about _MAX_LANES lanes, past which wider calls save little
-# and the buffers grow with S. Chosen by measurement; see CHANGES.md.
+# plain site loop. A sweep holds at most about _MAX_LANES lanes, past which
+# wider calls save little and the buffers grow with S. Chosen by
+# measurement; see CHANGES.md.
 _MIN_SEGMENT = 8192
 _MAX_LANES = 1024
 
@@ -188,29 +195,14 @@ def _chunk_sites(energies: np.ndarray, v: np.ndarray) -> int:
     return max(1, min(_RENORM_EVERY, int(1000.0 / np.log2(2.0 + dmax))))
 
 
-def _layout(spec: ModelSpec, energies, L: int, lanes: int) -> Tuple[int, int]:
-    """(S, C) of a sweep of L sites with `lanes` lanes per segment at these
-    energies: S segments side by side, and C sites per chunk, by
-    _chunk_sites over the model's potential values. growth_exponents takes
-    its layout here, lyapunov_many its chunk, and so does the CLI's metadata."""
-    S = max(1, min(L // _MIN_SEGMENT, _MAX_LANES // max(lanes, 1)))
+def _layout(spec: ModelSpec, energies, L: int) -> Tuple[int, int]:
+    """(S, C) of a growth_exponents sweep of L sites, _N_ANGLES lanes per
+    segment, at these energies: S segments side by side, and C sites per
+    chunk, by _chunk_sites over the model's potential values. The CLI's
+    metadata reads the same layout."""
+    S = max(1, min(L // _MIN_SEGMENT, _MAX_LANES // _N_ANGLES))
     return S, _chunk_sites(np.asarray(energies, dtype=float),
                            np.array(list(spec.potential.values()), dtype=float))
-
-
-def _spectral_norms(m11, m12, m21, m22):
-    """Largest singular value of each 2x2 in entrywise representation.
-
-    The entries are first scaled by a power of two that brings the largest
-    to [0.5, 1), so that no square overflows; that scaling is exact, and the
-    result equals the unscaled formula wherever that stays finite.
-    """
-    _, e = np.frexp(np.maximum.reduce([np.abs(m11), np.abs(m12), np.abs(m21), np.abs(m22)]))
-    m11, m12, m21, m22 = (np.ldexp(m, -e) for m in (m11, m12, m21, m22))
-    t = m11 * m11 + m12 * m12 + m21 * m21 + m22 * m22
-    det = m11 * m22 - m12 * m21
-    disc = np.maximum(t * t - 4.0 * det * det, 0.0)
-    return np.ldexp(np.sqrt(np.maximum(0.5 * (t + np.sqrt(disc)), 0.0)), e)
 
 
 def _sweep(lanes: np.ndarray, v: np.ndarray, x_prev, x0, C: int) -> Iterator[Tuple[np.ndarray, int]]:
@@ -267,18 +259,16 @@ def _products(energies: np.ndarray, v: np.ndarray, C: int) -> Tuple[Entries, np.
     return (m11, m12, m21, m22), logsum
 
 
-def _window_product(spec: ModelSpec, images, factors, word, mul):
-    """The matrix of the window that _window_factors describes, from word(v),
-    the matrix of the sites v, and mul(A, B) = A B. The level matrices M(j)
-    of s'_j are built up to the highest level a factor names, by M(1) =
-    M(-1) M(0)^{a_1 - 1} and M(j) = M(j-2) M(j-1)^{a_j}."""
-    levels = [word(v) for v in images]
-    for j in range(1, max((f[0] for f in factors if isinstance(f, tuple)), default=0) + 1):
-        k = spec.cf.coefficient(j) - (j == 1)
-        levels.append(mul(levels[-2], _power(levels[-1], k, mul)) if k else levels[-2])
+def _window_product(spec: ModelSpec, factors, sites, mul):
+    """The matrix of the window whose factors _window_factors lists, from
+    sites(v), the matrix of the sites with potential values v, and
+    mul(A, B) = A B, with the level matrices of _levels up to the highest
+    level a factor names."""
+    levels = _levels(spec, max((f[0] for f in factors if isinstance(f, tuple)), default=0),
+                     sites, mul)
     P = None
     for f in factors:
-        M = _power(levels[f[0] + 1], f[1], mul) if isinstance(f, tuple) else word(f)
+        M = _power(levels[f[0] + 1], f[1], mul) if isinstance(f, tuple) else sites(f)
         P = M if P is None else mul(M, P)
     return P
 
@@ -293,7 +283,7 @@ def _window_products(spec: ModelSpec, L: int, shift: int) -> int:
         n += k
         return 0
 
-    _window_product(spec, *_window_factors(spec, L, shift), lambda v: count(len(v) - 1),
+    _window_product(spec, _window_factors(spec, L, shift), lambda v: count(len(v) - 1),
                     lambda A, B: count(1))
     return n
 
@@ -301,24 +291,18 @@ def _window_products(spec: ModelSpec, L: int, shift: int) -> int:
 def lyapunov_many(spec: ModelSpec, energies: np.ndarray, L: int, shift: int = 0) -> np.ndarray:
     """(1/L) ln ||M_E(L)|| (spectral norm) over an energy array.
 
-    Below 2 _MIN_SEGMENT sites the sites are swept, renormalizing by the
-    largest entry every 64 steps (fewer for a large potential, see
-    _chunk_sites) to avoid overflow. From there on the window's matrix is a
-    product of O(sum log a_k) level matrices (_window_factors), taken in
-    double-double (_dd_mul), _BATCH energies at a time.
+    The window's matrix is a product of O(sum log a_k) level matrices
+    (_window_factors), taken in double-double (_dd_mul), _BATCH energies at
+    a time.
     """
     if L < 1000:
         raise ValueError("lyapunov requires L >= 1000")
     energies = np.asarray(energies, dtype=float)
-    if L < 2 * _MIN_SEGMENT:
-        v = spec.potential_values(qs_prefix(spec, L, shift=shift))
-        m, logsum = _products(energies, v[:, None], _layout(spec, energies, L, 1)[1])
-        return (logsum[0] + np.log(_spectral_norms(*(x[0] for x in m)))) / L
-    images, factors = _window_factors(spec, L, shift)
+    factors = _window_factors(spec, L, shift)
     out = np.empty(len(energies))
     for s in _batches(energies):
         E = energies[s]
-        out[s] = _dd_log_norm(_window_product(spec, images, factors, lambda v: _dd_sites(E, v), _dd_mul))
+        out[s] = _dd_log_norm(_window_product(spec, factors, lambda v: _dd_sites(E, v), _dd_mul))
     return out / L
 
 
@@ -457,7 +441,7 @@ def _dyadic_norms(spec: ModelSpec, E: float, shift: int, L_max: int,
     """
     angles = np.pi * np.arange(_N_ANGLES) / _N_ANGLES
     v = spec.potential_values(qs_prefix(spec, L_max, shift=shift))
-    S, C = _layout(spec, [E], L_max, _N_ANGLES)
+    S, C = _layout(spec, [E], L_max)
     q = L_max // S
     own = np.full(S, q)
     own[-1] = L_max - (S - 1) * q

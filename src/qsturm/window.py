@@ -83,9 +83,8 @@ def _dd_log_norm(M) -> np.ndarray:
 
 
 def _window_factors(spec: ModelSpec, L: int, shift: int):
-    """The window u[shift:shift+L] of u = prefix . S(c_theta) as (images,
-    factors): the potential values of S(a) and S(b), and factors in word
-    order, each an array of potential values or a pair (j, m) for s'_j^m.
+    """The window u[shift:shift+L] of u = prefix . S(c_theta) as factors in
+    word order, each an array of potential values or a pair (j, m) for s'_j^m.
 
     Its part in S(c_theta) ends in the image of c_theta[N], for the largest N
     with |S(c_theta[:N])| at most that end, and S(c_theta[:N]) =
@@ -101,7 +100,7 @@ def _window_factors(spec: ModelSpec, L: int, shift: int):
     factors = [prefix[shift:end]] if shift < len(prefix) else []
     lo, hi = max(shift - len(prefix), 0), end - len(prefix)
     if hi <= 0:
-        return images, factors
+        return factors
     digits, q = _ostrowski_digits(spec.cf, hi, [len(v) for v in images])  # q[j + 1] = |s'_j|
 
     def suffix(j, r):
@@ -127,4 +126,4 @@ def _window_factors(spec: ModelSpec, L: int, shift: int):
         N = sum(b * n for b, n in zip(digits, _ostrowski_digits(spec.cf, hi)[1][1:]))
         low = next(j for j, b in enumerate(_ostrowski_digits(spec.cf, N + 1)[0]) if b)
         factors.append(images[1 - low % 2][max(lo - pos, 0):hi - pos])
-    return images, factors
+    return factors

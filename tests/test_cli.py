@@ -294,15 +294,14 @@ def test_lyapunov_output_grid(free_path, capsys):
 
 def test_transfer_commands_record_segments_and_chunk(tmp_path, capsys):
     # alpha reports the segments its sweep ran side by side and its sites
-    # per renormalization chunk; lyapunov its chunk where it swept the sites,
-    # and its 2x2 products per energy where it took the window product. Each
-    # is the same on every run.
+    # per renormalization chunk; lyapunov the 2x2 products per energy of its
+    # window product, at every length. Each is the same on every run.
     q5 = str(BENCH_MODELS / "q5.json")
     E = repr(BENCH_CENTRES["q5"])
     large = dict(json.loads((BENCH_MODELS / "fibonacci.json").read_text()), potential={"a": 1e7, "b": 0.0})
     (tmp_path / "large.json").write_text(json.dumps(large))
     cases = [
-        (["lyapunov", q5, "--length", "16383"], ["# chunk=64"]),
+        (["lyapunov", q5, "--length", "16383"], ["# factors=31"]),
         # the products depend on the window, not on the grid
         (["lyapunov", q5, "--length", "16384", "--grid", "1"], ["# factors=32"]),
         (["lyapunov", q5, "--length", "100000"], ["# factors=40"]),
@@ -310,9 +309,8 @@ def test_transfer_commands_record_segments_and_chunk(tmp_path, capsys):
         (["lyapunov", q5, "--length", "100000", "--shift", "5"], ["# factors=56"]),
         (["alpha", q5, "--energy", E, "--lmax", "16383"], ["# chunk=64", "# segments=1"]),
         (["alpha", q5, "--energy", E, "--lmax", "100000"], ["# chunk=64", "# segments=12"]),
-        # 1000 / log2(2 + max|E| + max|v|) sites per chunk, where the energy
-        # window and the potential both reach past 10^7
-        (["lyapunov", str(tmp_path / "large.json"), "--length", "2000", "--grid", "5"], ["# chunk=41"]),
+        # a potential past 10^7 adds no product: each one is rescaled
+        (["lyapunov", str(tmp_path / "large.json"), "--length", "2000", "--grid", "5"], ["# factors=18"]),
     ]
     for argv, tail in cases:
         code, out, err = run(argv, capsys)
