@@ -356,7 +356,7 @@ def test_lyapunov_many_segments_against_50_digit_product(bench_specs, model, ene
 @pytest.mark.parametrize("model,energies", [
     # q5 band centres where the segmented sweep was off by up to 6.6e-6 and
     # 4.7e-8, and a fibonacci band centre (up to 4.7e-13); at 10^4 sites
-    # the site sweep in double was off by 3.3e-6 at the first
+    # the site sweep in double was off by 2.9e-6 at the first
     ("q5", [-1.3763462959091761, 3.3763438452369474]),
     ("fibonacci", [-1.0976174165235704]),
 ])
