@@ -20,7 +20,7 @@ from .decompose import cassaigne_decompose, decomposition_to_json, detect_qs, ro
 from .errors import QsturmError
 from .spectrum import energy_window, measure_report, periodic_bands, stable_set
 from .tracemap import classify_orbit, in_escape, invariant, orbit_trace
-from .transfer import _layout, _window_products, gordon_residual, growth_exponents, lyapunov_many
+from .transfer import _dyadic, _window_products, gordon_residual, growth_exponents, lyapunov_many
 from .words import ModelSpec, complexity, find_squares, level_words_prime, qs_prefix, sturmian_levels
 
 
@@ -184,7 +184,7 @@ def _cmd_lyapunov(spec, args, out: Output):
     lo, hi = energy_window(spec)
     grid = np.linspace(lo, hi, args.grid)
     gammas = lyapunov_many(spec, grid, args.length, shift=args.shift)
-    out.extra["factors"] = _window_products(spec, args.length, args.shift)
+    out.extra["factors"] = _window_products(spec, [args.length], args.shift)
     out.header(["E", "gamma"])
     for e, g in zip(grid, gammas):
         out.row(e, g)
@@ -200,7 +200,7 @@ def _cmd_gordon(spec, args, out: Output):
 
 def _cmd_alpha(spec, args, out: Output):
     g = growth_exponents(spec, args.energy, args.shift, args.lmax)
-    out.extra["segments"], out.extra["chunk"] = _layout(spec, [args.energy], args.lmax)
+    out.extra["factors"] = _window_products(spec, _dyadic(args.lmax), args.shift)
     out.header(["gamma1", "gamma2", "alpha", "escaped"])
     out.row(g.gamma1, g.gamma2, g.alpha, str(g.escaped).lower())
 

@@ -9,12 +9,14 @@ a word first (rightmost factor in the product).
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 
 from .errors import DegenerateFit, OutOfRange, ZeroInitialCondition
-from .window import _dd_log_norm, _dd_mul, _dd_sites, _window_factors
+from .window import (_dd_log, _dd_log_norm, _dd_mul, _dd_sites, _fold, _pair_mul, _pair_sites,
+                     _window_factors)
 from .words import ModelSpec, Word, _images, level_words_prime, qs_prefix
 
 
@@ -172,17 +174,6 @@ def half_traces_many(spec: ModelSpec, energies: np.ndarray, n: int) -> np.ndarra
 
 _RENORM_EVERY = 64
 
-# A long sweep of growth_exponents runs its site sequence as S consecutive
-# segments side by side, as one more lane axis, so that each per-site numpy
-# call covers S sites. No segment is shorter than _MIN_SEGMENT sites, so
-# sequences below twice that run as one segment, with the arithmetic of the
-# plain site loop. A sweep holds at most about _MAX_LANES lanes, past which
-# wider calls save little and the buffers grow with S. Chosen by
-# measurement; see CHANGES.md.
-_MIN_SEGMENT = 8192
-_MAX_LANES = 1024
-
-
 def _chunk_sites(energies: np.ndarray, v: np.ndarray) -> int:
     """Sites per chunk of the lane kernel: _RENORM_EVERY, or fewer where a
     large potential could overflow a chunk.
@@ -195,40 +186,26 @@ def _chunk_sites(energies: np.ndarray, v: np.ndarray) -> int:
     return max(1, min(_RENORM_EVERY, int(1000.0 / np.log2(2.0 + dmax))))
 
 
-def _layout(spec: ModelSpec, energies, L: int) -> Tuple[int, int]:
-    """(S, C) of a growth_exponents sweep of L sites, _N_ANGLES lanes per
-    segment, at these energies: S segments side by side, and C sites per
-    chunk, by _chunk_sites over the model's potential values. The CLI's
-    metadata reads the same layout."""
-    S = max(1, min(L // _MIN_SEGMENT, _MAX_LANES // _N_ANGLES))
-    return S, _chunk_sites(np.asarray(energies, dtype=float),
-                           np.array(list(spec.potential.values()), dtype=float))
-
-
 def _sweep(lanes: np.ndarray, v: np.ndarray, x_prev, x0, C: int) -> Iterator[Tuple[np.ndarray, int]]:
     """Three-term recursion x_{k+1} = (lane - v_k) x_k - x_{k-1} on lanes, C
     sites at a time.
 
-    v is one site sequence, or S of them as the columns of a (sites, S)
-    array, run side by side as segments: each row of the buffer then has
-    shape (S, lanes), and x_prev and x0 broadcast to it. Rows 0 and 1 of a
-    (C + 2, ...) buffer start as x_prev and x0, and for each chunk of c
-    sites row k + 2 receives x_{k+1}: two in-place ufunc calls per site, so
-    the arithmetic is that of d * x - x_prev with d = lane - v_k. Yields
-    (buf, c) after each chunk; on resume rows c and c + 1 carry into rows 0
-    and 1, so a caller may rescale them in place first. An empty v yields
-    one chunk of no sites, so a caller always sees the buffer.
+    Rows 0 and 1 of a (C + 2, lanes) buffer start as x_prev and x0, and for
+    each chunk of c sites row k + 2 receives x_{k+1}: two in-place ufunc
+    calls per site, so the arithmetic is that of d * x - x_prev with d =
+    lane - v_k. Yields (buf, c) after each chunk; on resume rows c and c + 1
+    carry into rows 0 and 1, so a caller may rescale them in place first. An
+    empty v yields one chunk of no sites, so a caller always sees the buffer.
     """
-    shape = v.shape[1:] + lanes.shape
-    buf = np.empty((C + 2,) + shape)
+    buf = np.empty((C + 2,) + lanes.shape)
     buf[0], buf[1] = x_prev, x0
-    d = np.empty((C,) + shape)
+    d = np.empty((C,) + lanes.shape)
     rows = list(buf)
     steps = list(zip(d, rows, rows[1:], rows[2:]))
     mul, sub = np.multiply, np.subtract
     for start in range(0, len(v) or 1, C):
         c = min(C, len(v) - start)
-        np.subtract(lanes, v[start:start + c, ..., None], out=d[:c])
+        np.subtract(lanes, v[start:start + c, None], out=d[:c])
         for dk, prev, cur, nxt in steps[:c]:
             mul(dk, cur, out=nxt)
             sub(nxt, prev, out=nxt)
@@ -236,46 +213,25 @@ def _sweep(lanes: np.ndarray, v: np.ndarray, x_prev, x0, C: int) -> Iterator[Tup
         buf[:2] = buf[c:c + 2]
 
 
-def _products(energies: np.ndarray, v: np.ndarray, C: int) -> Tuple[Entries, np.ndarray]:
-    """Transfer matrices over the columns of v (sites, S) at each energy:
-    entries (m11, m12, m21, m22) and log scales, all of shape (S, K), the
-    matrix of column s being exp(log scale) times its entries. The entries
-    are divided by their largest after every full chunk of C sites."""
-    K = len(energies)
-    S = v.shape[1]
-    # Lanes :K run the chain (m21, m11) and lanes K: the chain (m22, m12):
-    # row k of a chunk holds (m11, m12) after k - 1 of its sites, and rows
-    # 0 and 1 start as (m21, m22) and (m11, m12).
-    logsum = np.zeros((S, K))
-    for buf, c in _sweep(np.tile(energies, 2), v, np.repeat([0.0, 1.0], K),
-                         np.repeat([1.0, 0.0], K), C):
-        if c == C:
-            end = buf[c:c + 2].reshape(2, S, 2, K)
-            scale = np.abs(end).max(axis=(0, 2))
-            scale = np.where(scale > 0, scale, 1.0)
-            np.divide(end, scale[:, None], out=end)
-            logsum += np.log(scale)
-    (m21, m22), (m11, m12) = buf[:2].reshape(2, S, 2, K).transpose(0, 2, 1, 3)
-    return (m11, m12, m21, m22), logsum
+def _window_product(spec: ModelSpec, ends: List[int], shift: int, sites, mul) -> list:
+    """The matrices of the windows u[shift:shift + N] for the increasing N in
+    ends, from sites(v), the matrix of the sites with potential values v
+    (or their pair, window._pair_sites), and mul(A, B) = A B: each is the
+    one before times the product of the factors (_window_factors) of the
+    piece between, with the level matrices of _levels built once up to the
+    highest level a factor names."""
+    pieces = [_window_factors(spec, b - a, shift + a) for a, b in zip([0] + ends, ends)]
+    top = max((f[0] for factors in pieces for f in factors if isinstance(f, tuple)), default=0)
+    levels = _levels(spec, top, sites, mul)
+    products = (_fold(mul, (_power(levels[f[0] + 1], f[1], mul) if isinstance(f, tuple) else sites(f)
+                            for f in factors)) for factors in pieces)
+    return list(accumulate(products, lambda P, M: mul(M, P)))
 
 
-def _window_product(spec: ModelSpec, factors, sites, mul):
-    """The matrix of the window whose factors _window_factors lists, from
-    sites(v), the matrix of the sites with potential values v, and
-    mul(A, B) = A B, with the level matrices of _levels up to the highest
-    level a factor names."""
-    levels = _levels(spec, max((f[0] for f in factors if isinstance(f, tuple)), default=0),
-                     sites, mul)
-    P = None
-    for f in factors:
-        M = _power(levels[f[0] + 1], f[1], mul) if isinstance(f, tuple) else sites(f)
-        P = M if P is None else mul(M, P)
-    return P
-
-
-def _window_products(spec: ModelSpec, L: int, shift: int) -> int:
-    """The 2x2 products per energy that form the window's matrix: the window
-    product run with counting stand-ins for the matrices."""
+def _window_products(spec: ModelSpec, ends: List[int], shift: int) -> int:
+    """The 2x2 products per energy that form the matrices of the windows
+    u[shift:shift + N], N in ends: the window product run with counting
+    stand-ins for the matrices."""
     n = 0
 
     def count(k):
@@ -283,8 +239,7 @@ def _window_products(spec: ModelSpec, L: int, shift: int) -> int:
         n += k
         return 0
 
-    _window_product(spec, _window_factors(spec, L, shift), lambda v: count(len(v) - 1),
-                    lambda A, B: count(1))
+    _window_product(spec, ends, shift, lambda v: count(len(v) - 1), lambda A, B: count(1))
     return n
 
 
@@ -298,11 +253,10 @@ def lyapunov_many(spec: ModelSpec, energies: np.ndarray, L: int, shift: int = 0)
     if L < 1000:
         raise ValueError("lyapunov requires L >= 1000")
     energies = np.asarray(energies, dtype=float)
-    factors = _window_factors(spec, L, shift)
     out = np.empty(len(energies))
     for s in _batches(energies):
         E = energies[s]
-        out[s] = _dd_log_norm(_window_product(spec, factors, lambda v: _dd_sites(E, v), _dd_mul))
+        out[s] = _dd_log_norm(_window_product(spec, [L], shift, lambda v: _dd_sites(E, v), _dd_mul)[0])
     return out / L
 
 
@@ -426,108 +380,52 @@ class GrowthExponents(NamedTuple):
     escaped: bool = False
 
 
-def _dyadic_norms(spec: ModelSpec, E: float, shift: int, L_max: int,
-                  dyadic: List[int]) -> Tuple[np.ndarray, bool]:
-    """||phi||_n of the 32 angles at the dyadic scales n up to the escape,
-    and whether phi escaped.
-
-    From 2 _MIN_SEGMENT sites on the sites run as S segments of q sites side
-    by side (see _layout), the last one also taking the L_max mod S sites
-    left over. The transfer matrices of the segments give each one's entry
-    state, and one sweep from those states takes the sums of squares, the
-    escape test and the dyadic norms. An escape is the earliest in segment
-    order: the segments from the first that escapes on leave the sweep, which
-    ends when the first segment escapes.
-    """
-    angles = np.pi * np.arange(_N_ANGLES) / _N_ANGLES
-    v = spec.potential_values(qs_prefix(spec, L_max, shift=shift))
-    S, C = _layout(spec, [E], L_max)
-    q = L_max // S
-    own = np.full(S, q)
-    own[-1] = L_max - (S - 1) * q
-    # Segment s runs sites s q + 1 .. s q + own[-1] from (phi(s q), phi(s q + 1));
-    # all but the last own only their first q sites, and past those run on
-    # into the next segment unread.
-    sites = np.lib.stride_tricks.sliding_window_view(v, own[-1])[::q].T
-    x_prev = np.empty((S, _N_ANGLES))
-    x0 = np.empty((S, _N_ANGLES))
-    x_prev[0], x0[0] = np.cos(angles), np.sin(angles)
-    # Where phi escapes before a segment ends, the states after it overflow;
-    # they and the sites after an escape within a chunk are discarded.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if S > 1:
-            (m11, m12, m21, m22), logsum = _products(np.array([E], dtype=float), sites[:q, :-1], C)
-            f = np.exp(logsum[:, 0])
-            for s in range(1, S):
-                a, b = x0[s - 1], x_prev[s - 1]
-                x0[s] = f[s - 1] * (m11[s - 1, 0] * a + m12[s - 1, 0] * b)
-                x_prev[s] = f[s - 1] * (m21[s - 1, 0] * a + m22[s - 1, 0] * b)
-        # Marks: the dyadic scales, then the end of each segment but the
-        # last. at[i] receives the sum of phi(n)^2 over the sites of mark i's
-        # segment up to it, from phi(0)^2 in segment 0.
-        marks = np.r_[dyadic, q * np.arange(1, S)]
-        seg = np.minimum((marks - 1) // q, S - 1)
-        pos = marks - seg * q
-        at = np.zeros((len(marks), _N_ANGLES))
-        # For a chunk after local site n0, row k of buf holds phi(n0 + k) of
-        # each segment, and rows 1..k of sq their squares, added to row 0,
-        # the sum up to n0, by reductions over the outer axis: row by row,
-        # in the order of the site loop.
-        sq = np.zeros((C + 1, S, _N_ANGLES))
-        sq[0, 0] = x_prev[0] ** 2
-        esc = np.zeros(S, dtype=np.intp)  # local site after which phi escapes
-        lanes = np.full(_N_ANGLES, E)
-        live = S  # the segments before the first that has escaped
-        sweep = _sweep(lanes, sites, x_prev, x0, C)
-        for n0 in range(0, own[-1], C):
-            buf, c = next(sweep)
-            np.square(buf[1:c + 1], out=sq[1:c + 1, :live])
-            for i in np.flatnonzero((pos > n0) & (pos <= n0 + c) & (seg < live)):
-                np.add.reduce(sq[:pos[i] - n0 + 1, seg[i]], axis=0, out=at[i])
-            # phi(n + 1) past the escape magnitude ends the scan after site
-            # n, where n is a site its segment owns; a NaN sends the chunk to
-            # the full test too.
-            if not np.abs(buf[2:c + 2]).max() <= _ESCAPE_MAGNITUDE:
-                big = np.abs(buf[2:c + 2]).max(axis=2) > _ESCAPE_MAGNITUDE
-                big &= np.arange(n0 + 1, n0 + c + 1)[:, None] <= own[:live]
-                hit = np.flatnonzero(big.any(axis=0))
-                if len(hit):
-                    live = hit[0]
-                    esc[live] = n0 + big[:, live].argmax() + 1
-                    if not live:
-                        break
-                    # Only the segments before it still count: sweep on
-                    # without the others.
-                    sweep = _sweep(lanes, sites[n0 + c:, :live], buf[c, :live], buf[c + 1, :live], C)
-            sq[0, :live] = np.add.reduce(sq[:c + 1, :live], axis=0)
-        k = int(np.argmax(esc > 0))
-        last = k * q + esc[k] if esc[k] else L_max
-        # A sum up to a dyadic scale adds the ends of the segments before its own.
-        ends = np.cumsum(np.r_[np.zeros((1, _N_ANGLES)), at[len(dyadic):]], axis=0)
-        keep = marks[:len(dyadic)] <= last
-        norms = np.sqrt(at[:len(dyadic)] + ends[seg[:len(dyadic)]])[keep]
-    return norms, bool(esc[k])
+def _dyadic(L_max: int) -> List[int]:
+    """The scales of the growth fit: 8, 16, ... up to L_max, and L_max."""
+    dyadic = [2**j for j in range(3, int(np.log2(L_max)) + 1)]
+    return dyadic if dyadic[-1] == L_max else dyadic + [L_max]
 
 
 def growth_exponents(spec: ModelSpec, E: float, shift: int, L_max: int) -> GrowthExponents:
     """Power-law exponents of ||phi||_L over normalized initial conditions.
 
-    Propagates 32 initial-condition angles, fits ln||phi||_L against ln L on
+    Takes 32 initial-condition angles, fits ln||phi||_L against ln L on
     a dyadic grid, and reports the extreme slopes gamma1 <= gamma2 and
     alpha = 2 gamma1 / (gamma1 + gamma2). Solutions that blow past float
     comfort are flagged as escaped (exponential regime, E off spectrum).
+
+    phi(0) = cos t and phi(1) = sin t, so with Phi = (sin t, cos t) and the
+    pair (M, G) of the first N sites (window._pair_mul), phi(N + 1) =
+    e1^T M Phi and ||phi||_N^2 = cos^2 t + Phi^T G Phi. The pair of the
+    window up to each scale is the one up to the scale before times the
+    Ostrowski product of the piece between (_window_product), in
+    double-double as in lyapunov_many; one more pair product, with the
+    columns Phi and 0 and G = 0, reads both for every angle and scale. A
+    scale is kept while no angle's norm there passes _ESCAPE_MAGNITUDE, and
+    phi escapes if a scale is dropped or |phi(L_max + 1)| passes it.
     """
     if L_max < 1000:
         raise ValueError("growth_exponents requires L_max >= 1000")
-    dyadic = [2**j for j in range(3, int(np.log2(L_max)) + 1)]
-    if dyadic[-1] != L_max:
-        dyadic.append(L_max)
-    # The potential and the sweep's buffers are freed before the fit.
-    norms, escaped = _dyadic_norms(spec, E, shift, L_max, dyadic)
-    if len(norms) < 4:
+    dyadic = _dyadic(L_max)
+    energy = np.array([E], dtype=float)
+    pairs = _window_product(spec, dyadic, shift, lambda v: _pair_sites(energy, v), _pair_mul)
+    # the scales along the last energy axis and the angles along the one before
+    W = [[np.concatenate(x, axis=-1)[..., None, :] for x in zip(*half)] for half in zip(*pairs)]
+    angles = np.pi * np.arange(_N_ANGLES) / _N_ANGLES
+    s, c, zero = np.sin(angles)[:, None], np.cos(angles)[:, None], np.zeros((_N_ANGLES, 1))
+    phi, none = np.array([[s, zero], [c, zero]]), np.zeros((2, 2, _N_ANGLES, 1))
+    e = np.zeros((_N_ANGLES, 1), dtype=np.int64)
+    M, G = _pair_mul(W, ((phi, none, e), (none, none, e)))
+    # ln ||phi||_N and ln |phi(N + 1)| by angle and scale
+    log_norms = 0.5 * np.logaddexp(_dd_log(G), 2.0 * np.log(np.abs(c)))
+    big = np.log(_ESCAPE_MAGNITUDE)
+    # the scales before the first where some angle's norm passes big
+    kept = int(np.argmin(np.r_[(log_norms <= big).all(axis=0), False]))
+    escaped = kept < len(dyadic) or bool((_dd_log(M)[:, -1] > big).any())
+    if kept < 4:
         raise DegenerateFit("not enough dyadic scales before blow-up")
-    lnL = np.log(np.asarray(dyadic[:len(norms)], dtype=float))
-    slopes = np.polyfit(lnL, np.log(norms), 1)[0]
+    lnL = np.log(np.asarray(dyadic[:kept], dtype=float))
+    slopes = np.polyfit(lnL, log_norms[:, :kept].T, 1)[0]
     gamma1 = float(np.min(slopes))
     gamma2 = float(np.max(slopes))
     if gamma1 + gamma2 <= 0.0 or not np.isfinite(gamma1 + gamma2):

@@ -42,7 +42,7 @@ BENCH_MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "models"
 # picks them, and energies off the spectrum whose solutions escape.
 BENCH_CENTRES = {"fibonacci": 1.4525087579781024, "q5": 1.2990887900586154,
                  "digits": 0.37894771296405877, "prefixed": 0.6357801009742721}
-# At fibonacci E = 20 the sites after the escape overflow within its chunk.
+# Energies where phi escapes; at fibonacci E = 50 before the fourth dyadic scale.
 ESCAPING = {"fibonacci": [10.0, 20.0, 50.0], "q5": [0.5, -1.376], "digits": [5.0], "prefixed": [4.0]}
 GORDON_NMAX = {"fibonacci": (10, 12), "q5": (10, 12), "digits": (6,), "prefixed": (10,)}
 
@@ -292,10 +292,10 @@ def test_lyapunov_output_grid(free_path, capsys):
     assert len(rows) == 5
 
 
-def test_transfer_commands_record_segments_and_chunk(tmp_path, capsys):
-    # alpha reports the segments its sweep ran side by side and its sites
-    # per renormalization chunk; lyapunov the 2x2 products per energy of its
-    # window product, at every length. Each is the same on every run.
+def test_transfer_commands_record_factors(tmp_path, capsys):
+    # lyapunov reports the 2x2 products per energy of its window product, and
+    # alpha the pair products of its windows up to each dyadic scale. Each is
+    # the same on every run.
     q5 = str(BENCH_MODELS / "q5.json")
     E = repr(BENCH_CENTRES["q5"])
     large = dict(json.loads((BENCH_MODELS / "fibonacci.json").read_text()), potential={"a": 1e7, "b": 0.0})
@@ -307,8 +307,8 @@ def test_transfer_commands_record_segments_and_chunk(tmp_path, capsys):
         (["lyapunov", q5, "--length", "100000"], ["# factors=40"]),
         (["lyapunov", q5, "--length", "100000", "--grid", "3"], ["# factors=40"]),
         (["lyapunov", q5, "--length", "100000", "--shift", "5"], ["# factors=56"]),
-        (["alpha", q5, "--energy", E, "--lmax", "16383"], ["# chunk=64", "# segments=1"]),
-        (["alpha", q5, "--energy", E, "--lmax", "100000"], ["# chunk=64", "# segments=12"]),
+        (["alpha", q5, "--energy", E, "--lmax", "16383"], ["# factors=154"]),
+        (["alpha", q5, "--energy", E, "--lmax", "100000"], ["# factors=216"]),
         # a potential past 10^7 adds no product: each one is rescaled
         (["lyapunov", str(tmp_path / "large.json"), "--length", "2000", "--grid", "5"], ["# factors=18"]),
     ]
@@ -317,12 +317,12 @@ def test_transfer_commands_record_segments_and_chunk(tmp_path, capsys):
         assert code == 0, err
         meta = [line for line in out.splitlines() if line.startswith("#")]
         assert meta[-len(tail):] == tail and not meta[-len(tail) - 1].startswith(
-            ("# chunk", "# factors", "# segments")), argv
+            "# factors"), argv
         assert run(argv, capsys)[1] == out
     code, out, err = run(cases[-2][0] + ["--format", "json"], capsys)
     assert code == 0, err
     doc = json.loads(out)
-    assert (doc["segments"], doc["chunk"]) == (12, 64)
+    assert doc["factors"] == 216 and "segments" not in doc and "chunk" not in doc
 
 
 def test_gordon_rows(fib_path, capsys):

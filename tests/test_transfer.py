@@ -21,10 +21,9 @@ from qsturm.spectrum import energy_window
 from qsturm.tracemap import orbit_trace
 from qsturm.transfer import (
     _BATCH,
-    _MIN_SEGMENT,
     GordonResult,
     GrowthExponents,
-    _layout,
+    _dyadic,
     _window_products,
     gordon_residual,
     growth_exponents,
@@ -299,10 +298,8 @@ def test_lyapunov_large_potential_stays_finite(big, tmp_path, capsys):
     assert np.max(np.abs(gammas - want)) <= 1e-8
 
 
-# Lengths around the smallest growth_exponents sweep of two segments: one
-# site short (one segment), exactly two, two and a remainder of 1 (L mod S
-# sites), and 10^5.
-SEGMENT_LENGTHS = [2 * _MIN_SEGMENT - 1, 2 * _MIN_SEGMENT, 2 * _MIN_SEGMENT + 37, 100_000]
+# Lengths either side of 2^14, one 37 past it, and 10^5.
+SEGMENT_LENGTHS = [16_383, 16_384, 16_421, 100_000]
 
 
 @pytest.mark.parametrize("L", SEGMENT_LENGTHS)
@@ -345,7 +342,7 @@ def test_lyapunov_many_segments_against_50_digit_product(bench_specs, model, ene
     # double-double gamma stays within 1e-13 of the 50-digit product.
     pytest.importorskip("mpmath")
     spec = bench_specs[model]
-    L, shift = 2 * _MIN_SEGMENT + 37, 5
+    L, shift = 16_421, 5
     energies = np.array(energies)
     got = lyapunov_many(spec, energies, L, shift=shift)
     v = spec.potential_values(qs_prefix(spec, L, shift=shift))
@@ -405,7 +402,7 @@ def test_window_factors_spell_the_window(bench_specs, model, L, shift):
 
 
 @pytest.mark.parametrize("model", ["prefixed", *CAPPED_MODELS])
-@pytest.mark.parametrize("L", [2 * _MIN_SEGMENT, 2 * _MIN_SEGMENT + 37])
+@pytest.mark.parametrize("L", [16_384, 16_421])
 def test_lyapunov_window_matches_site_loop_on_shifts(bench_specs, model, L):
     # Windows that start in the transient prefix (shifts 0 and 1 on
     # prefixed), at its end, and inside partial images.
@@ -445,7 +442,7 @@ def test_window_products_count_the_kernel_products(bench_specs, monkeypatch):
         spec = bench_specs[model]
         products.clear()
         lyapunov_many(spec, np.linspace(*energy_window(spec), 3), L, shift=shift)
-        assert len(products) == _window_products(spec, L, shift) + 1
+        assert len(products) == _window_products(spec, [L], shift) + 1
 
 
 def test_lyapunov_long_window_builds_no_word(bench_specs):
@@ -473,7 +470,7 @@ def test_lyapunov_large_potential_stays_finite_in_segments(big, tmp_path, capsys
     model["potential"] = {"a": big, "b": 0.0}
     path = tmp_path / "large.json"
     path.write_text(json.dumps(model))
-    L = 2 * _MIN_SEGMENT
+    L = 16_384
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code = main(["lyapunov", str(path), "--length", str(L), "--grid", "5"])
@@ -609,6 +606,32 @@ def _growth_sites(spec, E, shift, L_max):
     return GrowthExponents(gamma1, gamma2, 2.0 * gamma1 / (gamma1 + gamma2), escaped)
 
 
+def _fit_sizes(monkeypatch, fits=None):
+    """The number of dyadic scales of each np.polyfit call from here on; the
+    fitted values (ln ||phi||, scale by angle) go to fits if one is given."""
+    sizes = []
+    polyfit = np.polyfit
+
+    def spy(x, y, deg):
+        sizes.append(len(x))
+        if fits is not None:
+            fits.append(y)
+        return polyfit(x, y, deg)
+
+    monkeypatch.setattr(np, "polyfit", spy)
+    return sizes
+
+
+def _assert_growth_matches(got, want, sizes):
+    # The window products are in double-double and the site loop in double:
+    # the exponents agree to 1e-8, and the escape and the dyadic scales kept
+    # are the same.
+    assert abs(got.gamma1 - want.gamma1) <= 1e-8, (got, want)
+    assert abs(got.gamma2 - want.gamma2) <= 1e-8, (got, want)
+    assert got.escaped == want.escaped
+    assert sizes[-1] == sizes[-2]
+
+
 @pytest.mark.parametrize("model,E,L_max,escapes", [
     # band centres of sigma_12, sigma_8, sigma_5 and sigma_10
     ("fibonacci", 1.4525087579781024, 3001, False),
@@ -618,14 +641,15 @@ def _growth_sites(spec, E, shift, L_max):
     ("fibonacci", 10.0, 100_000, True),
     ("q5", 0.5, 30_000, True),
     ("q5", -1.376, 30_000, True),
-    ("fibonacci", 20.0, 1000, True),  # escapes in the second chunk, after 4 scales
+    ("fibonacci", 20.0, 1000, True),  # escapes after 4 scales
     ("fibonacci", 7.60725, 1000, True),  # phi(128) escapes: scale 128 is not kept
 ], ids=lambda x: str(x))
-def test_growth_exponents_match_site_loop(bench_specs, model, E, L_max, escapes):
+def test_growth_exponents_match_site_loop(bench_specs, monkeypatch, model, E, L_max, escapes):
     spec = bench_specs[model]
+    sizes = _fit_sizes(monkeypatch)
     for shift in (0, 97):
         want = _growth_sites(spec, E, shift, L_max)
-        assert growth_exponents(spec, E, shift, L_max) == want
+        _assert_growth_matches(growth_exponents(spec, E, shift, L_max), want, sizes)
         assert want.escaped == escapes
 
 
@@ -638,51 +662,25 @@ def test_growth_exponents_degenerate_fit_matches_site_loop(bench_specs):
         growth_exponents(spec, 50.0, 0, 1000)
 
 
-def _fit_sizes(monkeypatch):
-    """The number of dyadic scales of each np.polyfit call from here on."""
-    sizes = []
-    polyfit = np.polyfit
-
-    def spy(x, y, deg):
-        sizes.append(len(x))
-        return polyfit(x, y, deg)
-
-    monkeypatch.setattr(np, "polyfit", spy)
-    return sizes
-
-
 @pytest.mark.parametrize("L_max", SEGMENT_LENGTHS)
 def test_growth_exponents_segments_match_site_loop(bench_specs, monkeypatch, L_max):
-    # 12 segments at 10^5 sites. The entry state of each segment comes from
-    # the chained matrices of those before it, so past one segment the
-    # exponents agree with the site loop to 1e-8 (worst seen 2.7e-11), and
-    # the escape and the dyadic scales kept are the same; at one segment
-    # they are the site loop's, bit for bit.
+    # At the band centres of the bench pools (worst seen 3.4e-12).
     centres = {"fibonacci": 1.4525087579781024, "q5": 1.2990887900586154,
                "digits": 0.37894771296405877, "prefixed": 0.6357801009742721}
     sizes = _fit_sizes(monkeypatch)
     for i, (model, E) in enumerate(centres.items()):
         spec = bench_specs[model]
-        assert _layout(spec, [E], L_max)[0] == max(1, L_max // _MIN_SEGMENT)
         # the site loop takes about 1.4 s at 10^5 sites, so there each model
         # runs one of the two shifts
         for shift in (0, 97) if L_max < 100_000 else ((0, 97)[i % 2],):
             want = _growth_sites(spec, E, shift, L_max)
-            got = growth_exponents(spec, E, shift, L_max)
-            assert sizes[-1] == sizes[-2]
-            if L_max < 2 * _MIN_SEGMENT:
-                assert got == want
-            else:
-                assert abs(got.gamma1 - want.gamma1) <= 1e-8
-                assert abs(got.gamma2 - want.gamma2) <= 1e-8
-                assert got.escaped == want.escaped
+            _assert_growth_matches(growth_exponents(spec, E, shift, L_max), want, sizes)
 
 
 @pytest.mark.parametrize("model,E", [
-    # just outside a band: phi passes 1e100 at site 35,803 (shift 0), in the
-    # fifth of twelve segments
+    # just outside a band: phi passes 1e100 at site 35,803 (shift 0)
     ("fibonacci", -1.0558889722430609),
-    ("q5", -0.8755938984746188),  # at site 38,388, in the fifth
+    ("q5", -0.8755938984746188),  # at site 38,388
 ])
 def test_growth_exponents_escape_after_first_segment(bench_specs, monkeypatch, model, E):
     spec = bench_specs[model]
@@ -691,11 +689,78 @@ def test_growth_exponents_escape_after_first_segment(bench_specs, monkeypatch, m
     for shift in (0, 5):
         want = _growth_sites(spec, E, shift, L_max)
         got = growth_exponents(spec, E, shift, L_max)
-        assert want.escaped and got.escaped
-        # both keep the scales up to 2^15, past the first segment's 8,333 sites
-        assert sizes[-1] == sizes[-2] == 13
-        assert abs(got.gamma1 - want.gamma1) <= 1e-8
-        assert abs(got.gamma2 - want.gamma2) <= 1e-8
+        assert want.escaped
+        # both keep the scales up to 2^15
+        assert sizes[-1] == 13
+        _assert_growth_matches(got, want, sizes)
+
+
+@pytest.mark.parametrize("L_max", [1000, 4096])
+def test_growth_exponents_match_site_loop_after_long_prefix(monkeypatch, L_max):
+    # Windows inside the 1,000-symbol prefix (shift 0 up to 1,000 sites),
+    # across its end and after it. The prefix is folded into the pairs site
+    # by site.
+    spec = ModelSpec.from_json(LONG_PREFIX_MODEL)
+    sizes = _fit_sizes(monkeypatch)
+    for E in (0.6357801009742721, 1.7):
+        for shift in (0, 500, 1000, 4321):
+            want = _growth_sites(spec, E, shift, L_max)
+            _assert_growth_matches(growth_exponents(spec, E, shift, L_max), want, sizes)
+
+
+def test_growth_products_count_the_kernel_products(bench_specs, monkeypatch):
+    # The CLI's factors metadata for alpha is the number of pair products,
+    # besides the one that reads every angle.
+    products = []
+    pair_mul = qsturm.window._pair_mul
+    for module in (qsturm.window, qsturm.transfer):
+        monkeypatch.setattr(module, "_pair_mul", lambda A, B: products.append(1) or pair_mul(A, B))
+    for model, L, shift in [("q5", 100_000, 0), ("digits", 16_421, 5), ("prefixed", 20_000, 1),
+                            ("fibonacci", 1000, 0)]:
+        spec = bench_specs[model]
+        products.clear()
+        growth_exponents(spec, 0.1, shift, L)
+        assert len(products) == _window_products(spec, _dyadic(L), shift) + 1
+
+
+def _log_norms_digits(v, E, angles, scales, digits=40):
+    """Oracle: ln ||phi||_N of each angle at each scale N from the site loop
+    in `digits`-digit mpmath arithmetic, from phi(0) = cos t and phi(1) =
+    sin t as doubles."""
+    mpmath = pytest.importorskip("mpmath")
+    out = np.empty((len(scales), len(angles)))
+    with mpmath.workdps(digits):
+        e = mpmath.mpf(float(E))
+        d = [e - mpmath.mpf(float(x)) for x in v]
+        for a, t in enumerate(angles):
+            prev, cur = mpmath.mpf(float(np.cos(t))), mpmath.mpf(float(np.sin(t)))
+            total, i = prev * prev, 0
+            for n in range(1, scales[-1] + 1):
+                total += cur * cur
+                if n == scales[i]:
+                    out[i, a] = float(mpmath.log(total) / 2)
+                    i += 1
+                prev, cur = cur, d[n - 1] * cur - prev
+    return out
+
+
+def test_growth_log_norms_against_40_digit_loop(bench_specs, monkeypatch):
+    # A band centre of sigma_8 that the transport bench picks. Angles 24, 25
+    # and 23 grow slowest, nearest the subordinate direction; there the site
+    # sweep in double was off the 40-digit loop by up to 1.4e-3 in ln ||phi||
+    # (worst seen here 1.4e-14, over all 32 angles).
+    pytest.importorskip("mpmath")
+    spec = bench_specs["q5"]
+    E, L_max = -1.3758084884632231, 30_000
+    fits = []
+    _fit_sizes(monkeypatch, fits)
+    growth_exponents(spec, E, 0, L_max)
+    picked = [0, 23, 24, 25]
+    scales = _dyadic(L_max)
+    v = spec.potential_values(qs_prefix(spec, L_max))
+    want = _log_norms_digits(v, E, np.pi * np.array(picked) / 32, scales)
+    assert fits[-1].shape == (len(scales), 32)
+    assert np.abs(fits[-1][:, picked] - want).max() <= 1e-12
 
 
 # ---------------------------------------------------------------- Sturm counts
