@@ -13,15 +13,9 @@ import math
 import sys
 from typing import List, Optional
 
-import numpy as np
-
-from . import __version__
-from .decompose import cassaigne_decompose, decomposition_to_json, detect_qs, rotation_number
-from .errors import QsturmError
-from .spectrum import energy_window, measure_report, periodic_bands, stable_set
-from .tracemap import classify_orbit, in_escape, invariant, orbit_trace
-from .transfer import _dyadic, _window_products, gordon_residual, growth_exponents, lyapunov_many
-from .words import ModelSpec, complexity, find_squares, level_words_prime, qs_prefix, sturmian_levels
+# The package registers these modules without running them; a command runs
+# only the ones it reads an attribute of.
+from . import __version__, decompose, errors, spectrum, tracemap, transfer, words
 
 
 def _fmt(x: float) -> str:
@@ -29,7 +23,7 @@ def _fmt(x: float) -> str:
 
 
 class Output:
-    def __init__(self, spec: ModelSpec, command: str, params: dict, fmt: str):
+    def __init__(self, spec: words.ModelSpec, command: str, params: dict, fmt: str):
         self.meta = {
             "fingerprint": spec.fingerprint(),
             "command": command,
@@ -63,11 +57,11 @@ class Output:
         return "\n".join(lines) + "\n"
 
 
-def _load_spec(path: str) -> ModelSpec:
+def _load_spec(path: str) -> words.ModelSpec:
     with open(path) as fh:
         d = json.load(fh)
     try:
-        return ModelSpec.from_json(d)
+        return words.ModelSpec.from_json(d)
     except (KeyError, TypeError, AttributeError) as e:
         raise ValueError(f"{path}: malformed model ({type(e).__name__}: {e})") from None
 
@@ -83,13 +77,13 @@ def _emit(out: Output, out_path: Optional[str]):
 
 def _cmd_generate(spec, args, out: Output):
     if args.levels is not None:
-        primes = level_words_prime(spec, args.levels)
-        base = sturmian_levels(spec.cf, args.levels)
+        primes = words.level_words_prime(spec, args.levels)
+        base = words.sturmian_levels(spec.cf, args.levels)
         out.header(["n", "s_n", "s_prime_n"])
         for i in range(len(base)):
             out.row(str(i - 1), base[i].to_str(), primes[i].to_str())
     else:
-        w = qs_prefix(spec, args.length, shift=args.shift)
+        w = words.qs_prefix(spec, args.length, shift=args.shift)
         out.header(["sequence"])
         out.row(w.to_str())
 
@@ -97,11 +91,11 @@ def _cmd_generate(spec, args, out: Output):
 def _cmd_complexity(spec, args, out: Output):
     if args.nmax < 1:
         raise ValueError(f"--nmax must be at least 1, got {args.nmax}")
-    w = qs_prefix(spec, args.length, shift=args.shift)
+    w = words.qs_prefix(spec, args.length, shift=args.shift)
     # detect_qs asks for the deeper factor index, which complexity then reuses;
     # a --nmax that does not fit the word still fails in complexity first.
-    cls = detect_qs(w) if args.nmax < len(w) else None
-    p = complexity(w, args.nmax)
+    cls = decompose.detect_qs(w) if args.nmax < len(w) else None
+    p = words.complexity(w, args.nmax)
     out.extra["classification"] = {"kind": cls.kind, "k": cls.k, "n0": cls.n0}
     out.header(["n", "p_n"])
     for i, pn in enumerate(p, start=1):
@@ -111,10 +105,10 @@ def _cmd_complexity(spec, args, out: Output):
 def _cmd_decompose(spec, args, out: Output):
     if args.refine < 1:  # rotation_number's check, before the decomposition is paid for
         raise ValueError(f"refine must be >= 1, got {args.refine}")
-    w = qs_prefix(spec, args.length, shift=args.shift)
-    d = cassaigne_decompose(w)
-    theta = rotation_number(d, refine=args.refine)
-    out.extra["decomposition"] = decomposition_to_json(d)
+    w = words.qs_prefix(spec, args.length, shift=args.shift)
+    d = decompose.cassaigne_decompose(w)
+    theta = decompose.rotation_number(d, refine=args.refine)
+    out.extra["decomposition"] = decompose.decomposition_to_json(d)
     out.header(["theta"])
     out.row(theta)
 
@@ -124,20 +118,20 @@ _EPS = sys.float_info.epsilon
 
 def _finite_cell(x: float) -> float | str:
     """x, or "unreliable" where its computation overflowed to inf or nan."""
-    return x if np.isfinite(x) else "unreliable"
+    return x if math.isfinite(x) else "unreliable"
 
 
 def _invariant_cell(t) -> float | str:
     """The invariant of a triple, or "unreliable" once the rounding error of
     its terms, about eps max(|x|, |y|, |z|)^3, reaches its size."""
-    inv = invariant(t)
+    inv = tracemap.invariant(t)
     big = max(abs(t.x), abs(t.y), abs(t.z))
     return inv if _EPS * big * big * big < abs(inv) else "unreliable"
 
 
 def _cmd_tracemap(spec, args, out: Output):
-    orbit = orbit_trace(spec, args.energy, args.levels)
-    verdict = classify_orbit(spec, args.energy, args.levels)
+    orbit = tracemap.orbit_trace(spec, args.energy, args.levels)
+    verdict = tracemap.classify_orbit(spec, args.energy, args.levels)
     out.extra["verdict"] = {
         "kind": verdict.kind,
         "escape_step": verdict.escape_step,
@@ -146,12 +140,12 @@ def _cmd_tracemap(spec, args, out: Output):
     }
     out.header(["level", "x", "y", "z", "invariant", "in_escape"])
     for n, t in enumerate(orbit, start=1):
-        escape = str(in_escape(t)).lower() if all(map(math.isfinite, t)) else "unreliable"
+        escape = str(tracemap.in_escape(t)).lower() if all(map(math.isfinite, t)) else "unreliable"
         out.row(str(n), *map(_finite_cell, t), _invariant_cell(t), escape)
 
 
 def _cmd_bands(spec, args, out: Output):
-    bl = periodic_bands(spec, args.level, tol=args.tol)
+    bl = spectrum.periodic_bands(spec, args.level, tol=args.tol)
     out.extra["band_count"] = bl.band_count
     out.extra["total_measure"] = bl.total_measure
     out.extra["merged"] = bl.merged
@@ -169,8 +163,8 @@ def _parse_nrange(s: str) -> List[int]:
 
 
 def _cmd_spectrum(spec, args, out: Output):
-    sweep = stable_set(spec, grid=args.grid, n_levels=args.levels)
-    rows = measure_report(spec, _parse_nrange(args.nrange))
+    sweep = spectrum.stable_set(spec, grid=args.grid, n_levels=args.levels)
+    rows = spectrum.measure_report(spec, _parse_nrange(args.nrange))
     out.extra["stable_bands"] = [[_fmt(lo), _fmt(hi)] for lo, hi in sweep.bands.bands]
     out.extra["stable_measure"] = sweep.bands.total_measure
     out.header(["n", "band_count", "total_measure"])
@@ -181,26 +175,25 @@ def _cmd_spectrum(spec, args, out: Output):
 def _cmd_lyapunov(spec, args, out: Output):
     if args.grid < 1:
         raise ValueError(f"--grid must be at least 1, got {args.grid}")
-    lo, hi = energy_window(spec)
-    grid = np.linspace(lo, hi, args.grid)
-    gammas = lyapunov_many(spec, grid, args.length, shift=args.shift)
-    out.extra["factors"] = _window_products(spec, [args.length], args.shift)
+    grid = transfer.energy_grid(spec, args.grid)
+    gammas = transfer.lyapunov_many(spec, grid, args.length, shift=args.shift)
+    out.extra["factors"] = transfer._window_products(spec, [args.length], args.shift)
     out.header(["E", "gamma"])
     for e, g in zip(grid, gammas):
         out.row(e, g)
 
 
 def _cmd_gordon(spec, args, out: Output):
-    squares = find_squares(spec, args.shift, args.nmax)
+    squares = words.find_squares(spec, args.shift, args.nmax)
     out.header(["m", "n", "kind", "residual", "trace"])
     for sq in squares:
-        res = gordon_residual(spec, args.energy, sq, shift=args.shift)
+        res = transfer.gordon_residual(spec, args.energy, sq, shift=args.shift)
         out.row(str(sq[0]), str(sq[1]), sq[2], _finite_cell(res.residual), _finite_cell(res.trace))
 
 
 def _cmd_alpha(spec, args, out: Output):
-    g = growth_exponents(spec, args.energy, args.shift, args.lmax)
-    out.extra["factors"] = _window_products(spec, _dyadic(args.lmax), args.shift)
+    g = transfer.growth_exponents(spec, args.energy, args.shift, args.lmax)
+    out.extra["factors"] = transfer._window_products(spec, transfer._dyadic(args.lmax), args.shift)
     out.header(["gamma1", "gamma2", "alpha", "escaped"])
     out.row(g.gamma1, g.gamma2, g.alpha, str(g.escaped).lower())
 
@@ -287,7 +280,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.func(spec, args, out)
         _emit(out, args.out)
         return 0
-    except (QsturmError, OSError, ValueError, MemoryError) as e:
+    except (errors.QsturmError, OSError, ValueError, MemoryError) as e:
         sys.stderr.write(f"error: {type(e).__name__}: {e}\n")
         return 1
 

@@ -18,10 +18,8 @@ import numpy as np
 
 from .errors import GridTooCoarse, LengthBudgetExceeded
 from .tracemap import classify_many
-from .transfer import half_traces_many, sturm_counts
+from .transfer import ENERGY_MARGIN, energy_grid, energy_window, half_traces_many, sturm_counts
 from .words import DEFAULT_LENGTH_BUDGET, ModelSpec, _images, _sturmian_words, qs_prefix
-
-ENERGY_MARGIN = 0.5
 
 
 class _BandListFields(NamedTuple):
@@ -61,12 +59,6 @@ class BandList(_BandListFields):
         return any(lo - dilation <= E <= hi + dilation for lo, hi in self.bands)
 
 
-def energy_window(spec: ModelSpec) -> Tuple[float, float]:
-    """[min f - 2 - margin, max f + 2 + margin]; everything outside is resolvent."""
-    values = list(spec.potential.values())
-    return min(values) - 2.0 - ENERGY_MARGIN, max(values) + 2.0 + ENERGY_MARGIN
-
-
 def periodic_bands(spec: ModelSpec, n: int, tol: float = 1e-10) -> BandList:
     """sigma(H_n) = {E : |tr M_E(n)| <= 2} for the |s'_n|-periodic approximant.
 
@@ -85,8 +77,7 @@ def periodic_bands(spec: ModelSpec, n: int, tol: float = 1e-10) -> BandList:
     cells = max(128 * expected, 16384)
     if cells > DEFAULT_LENGTH_BUDGET:
         raise LengthBudgetExceeded(f"band grid of {cells} cells exceeds budget {DEFAULT_LENGTH_BUDGET}")
-    lo, hi = energy_window(spec)
-    grid = np.linspace(lo, hi, cells + 1)
+    grid = energy_grid(spec, cells + 1)
     inside = _in_band(spec, n, grid)
     if not inside.any():
         raise GridTooCoarse(f"no bands found for level {n} on a {cells}-cell grid")

@@ -20,6 +20,20 @@ from .window import (_dd_log, _dd_log_norm, _dd_mul, _dd_sites, _fold, _pair_mul
 from .words import ModelSpec, Word, _images, level_words_prime, qs_prefix
 
 
+ENERGY_MARGIN = 0.5
+
+
+def energy_window(spec: ModelSpec) -> Tuple[float, float]:
+    """[min f - 2 - margin, max f + 2 + margin]; everything outside is resolvent."""
+    values = list(spec.potential.values())
+    return min(values) - 2.0 - ENERGY_MARGIN, max(values) + 2.0 + ENERGY_MARGIN
+
+
+def energy_grid(spec: ModelSpec, points: int) -> np.ndarray:
+    """points evenly spaced energies over energy_window, both ends included."""
+    return np.linspace(*energy_window(spec), points)
+
+
 def local_matrix(E: float, v: float) -> np.ndarray:
     """Single-site matrix [[E-v, -1], [1, 0]]; det = 1 exactly."""
     return np.array([[E - v, -1.0], [1.0, 0.0]])

@@ -108,8 +108,8 @@ def test_decompose_checks_refine_before_decomposing(fib_path, capsys, monkeypatc
     def fail(*args, **kwargs):
         raise AssertionError("the window was built or decomposed before --refine was checked")
 
-    monkeypatch.setattr("qsturm.cli.qs_prefix", fail)
-    monkeypatch.setattr("qsturm.cli.cassaigne_decompose", fail)
+    monkeypatch.setattr("qsturm.words.qs_prefix", fail)
+    monkeypatch.setattr("qsturm.decompose.cassaigne_decompose", fail)
     code, out, err = run(["decompose", fib_path, "--refine", "0"], capsys)
     assert code == 1 and out == ""
     assert err == "error: ValueError: refine must be >= 1, got 0\n"
@@ -414,7 +414,7 @@ def test_memory_error_is_one_line(fib_path, capsys, monkeypatch):
     def stable_set(*args, **kwargs):
         raise MemoryError("Unable to allocate 1 TiB")
 
-    monkeypatch.setattr("qsturm.cli.stable_set", stable_set)
+    monkeypatch.setattr("qsturm.spectrum.stable_set", stable_set)
     code, out, err = run(["spectrum", fib_path], capsys)
     assert code == 1 and out == ""
     assert err == "error: MemoryError: Unable to allocate 1 TiB\n"
@@ -424,17 +424,31 @@ def _qsturm_env():
     return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qsturm.__file__)))
 
 
+# Source defining LAYERS (the seven that perfbench/traced.py times) and
+# run_layers(), the qsturm modules whose body has run. A module registered but
+# not yet run is a LazyLoader module, whose type only subclasses ModuleType.
+RUN_LAYERS = ("import sys, types\n"
+              "LAYERS = {'cli', 'contfrac', 'words', 'decompose', 'tracemap', 'transfer', 'spectrum'}\n"
+              "def run_layers():\n"
+              "    return {m[7:] for m, mod in sys.modules.items()\n"
+              "            if m.startswith('qsturm.') and type(mod) is types.ModuleType}\n")
+
+
 def test_cli_import_leaves_scipy_unloaded():
-    # qsturm depends on numpy alone; no CLI call pays for a scipy import.
-    code = "import sys, qsturm.cli; assert 'scipy' not in sys.modules, 'scipy imported'"
+    # qsturm depends on numpy alone: running every module loads no scipy.
+    code = (RUN_LAYERS + "import qsturm.cli\nfrom qsturm import *\n"
+            "assert run_layers() >= {'errors', 'window'} | LAYERS, run_layers()\n"
+            "assert 'scipy' not in sys.modules, 'scipy imported'\n")
     subprocess.run([sys.executable, "-c", code], env=_qsturm_env(), check=True)
 
 
-def _generate_q5(before="", after=""):
-    """stdout of `qsturm generate` on q5 in a fresh interpreter, with Python
-    statements run before the call and after it."""
-    code = f"{before}import sys; from qsturm.cli import main; status = main(sys.argv[1:]); {after}sys.exit(status)"
-    argv = ["generate", str(BENCH_MODELS / "q5.json"), "--length", "20"]
+def _generate_q5(before="", after="", argv=None):
+    """stdout of `qsturm generate` on q5 (or of argv) in a fresh interpreter,
+    with Python statements run before the call and after it."""
+    code = (f"{before}import sys; from qsturm.cli import main\n"
+            f"try:\n    status = main(sys.argv[1:])\nexcept SystemExit as e:\n    status = e.code\n"
+            f"{after}sys.exit(status)")
+    argv = argv or ["generate", str(BENCH_MODELS / "q5.json"), "--length", "20"]
     return subprocess.run([sys.executable, "-c", code, *argv], env=_qsturm_env(), check=True,
                           capture_output=True, text=True).stdout
 
@@ -455,13 +469,46 @@ def test_fingerprint_falls_back_to_hashlib():
 
 
 def test_cli_import_constructs_no_dataclass():
-    # Every CLI call imports qsturm.cli, so its records are NamedTuples, far
-    # cheaper to build than frozen dataclasses. The import still loads every
-    # layer: nothing is deferred.
-    code = ("import sys, qsturm.cli; assert 'dataclasses' not in sys.modules, 'dataclasses imported'; "
-            "missing = {'contfrac', 'words', 'decompose', 'tracemap', 'transfer', 'spectrum'} "
-            "- {m[7:] for m in sys.modules if m.startswith('qsturm.')}; assert not missing, missing")
+    # Every CLI call imports qsturm.cli, which registers every layer in
+    # sys.modules (perfbench/traced.py reads them there) and runs none of them.
+    # The records are NamedTuples, far cheaper to build than frozen dataclasses.
+    code = (RUN_LAYERS + "import qsturm.cli\n"
+            "missing = LAYERS - {m[7:] for m in sys.modules if m.startswith('qsturm.')}\n"
+            "assert not missing, missing\n"
+            "assert run_layers() == {'cli'}, run_layers()\n"
+            "from qsturm import *\n"
+            "assert 'dataclasses' not in sys.modules, 'dataclasses imported'\n")
     subprocess.run([sys.executable, "-c", code], env=_qsturm_env(), check=True)
+    # --version loads no numpy and runs no layer.
+    _generate_q5(RUN_LAYERS, "assert 'numpy' not in sys.modules and run_layers() == {'cli'}, run_layers(); ",
+                 argv=["--version"])
+    # generate runs words, contfrac and errors only.
+    assert _generate_q5(RUN_LAYERS, "assert run_layers() == {'cli', 'contfrac', 'errors', 'words'}, run_layers(); ")
+
+
+PUBLIC_NAMES = """
+    BandList ContinuedFraction Decomposition GrowthExponents ModelSpec OrbitVerdict RauzyGraph
+    SolutionSegment Substitution TraceTriple Word approximants cassaigne_decompose
+    characteristic_prefix chebyshev classify_orbit complexity contfrac decompose density_score
+    detect_qs errors expand find_squares finite_eigenvalues generators gordon_residual
+    growth_exponents in_escape initial_triple invariant level_matrices level_words_prime
+    local_matrix local_norm lyapunov measure_report orbit_trace palindrome_split periodic_bands
+    qs_prefix rauzy_graph reflect reflect_subst rotation_number solve special_factors spectrum
+    stable_set step sturmian_levels substitute tracemap transfer value window word_matrix words
+"""
+
+
+def test_package_keeps_its_public_names():
+    # The public names resolve lazily through __getattr__; __all__ and
+    # __dir__ list the same names that the package's eager imports once gave.
+    names = sorted(PUBLIC_NAMES.split())
+    assert qsturm.__all__ == names
+    assert [n for n in dir(qsturm) if not n.startswith("_")] == names
+    star = {}
+    exec("from qsturm import *", star)
+    assert sorted(k for k in star if k != "__builtins__") == names
+    with pytest.raises(AttributeError):
+        qsturm.no_such_name
 
 
 # ---------------------------------------------------------------- the parser

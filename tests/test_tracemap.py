@@ -290,8 +290,9 @@ def test_no_module_imports_inside_a_function():
 
 
 def test_tracemap_loads_without_spectrum_or_cli():
-    # The package __init__ imports every module, so a bare package stands in
-    # for it: what is loaded is then what tracemap itself imports.
+    # The package __init__ registers every module in sys.modules (running
+    # each on first use), so a bare package stands in for it: what is loaded
+    # is then what tracemap itself imports.
     code = ("import json, sys, types\n"
             "pkg = types.ModuleType('qsturm')\n"
             "pkg.__path__ = [sys.argv[1]]\n"
