@@ -130,6 +130,8 @@ def _invariant_cell(t) -> float | str:
 
 
 def _cmd_tracemap(spec, args, out: Output):
+    if args.levels < 2:  # classify_orbit's bound, before the orbit is paid for
+        raise ValueError(f"--levels must be at least 2, got {args.levels}")
     orbit = tracemap.orbit_trace(spec, args.energy, args.levels)
     verdict = tracemap.classify_orbit(spec, args.energy, args.levels)
     out.extra["verdict"] = {

@@ -150,7 +150,7 @@ def cassaigne_decompose(w: Word) -> Decomposition:
             continue
         occ, images, base_codes = found
         base = Word(base_codes, ("a", "b"))
-        if not _looks_sturmian(base):
+        if not _looks_sturmian(w, n, occ, base):
             continue
         subst = Substitution({"a": images[0], "b": images[1]})
         prefix_w = w[:occ[0]]
@@ -248,14 +248,23 @@ def _return_structure(w: Word, n: int):
     return occ[j0:], images, (ext[j0:] == ext[ref[1]]).astype(np.int32)
 
 
-def _looks_sturmian(base: Word) -> bool:
-    """Cheap Sturmian check: p(n) = n + 1 on a short window."""
+def _looks_sturmian(w: Word, n: int, occ: np.ndarray, base: Word) -> bool:
+    """Cheap Sturmian check: p(n) = n + 1 on a short window of the base that
+    the bispecial factor of length n and its occurrences occ cut from w.
+
+    At n = 0 the base is w[occ[0]:occ[-1]] with its two letters relabelled,
+    so its counts are read from w's own factor index; a longer bispecial
+    factor gives a shorter base, which gets an index of its own.
+    """
     if len(base) < _MIN_DETECT_LENGTH:
         return False
     n_max = min(24, safe_window(base))
     if n_max < 2:
         return False
-    p = complexity(base, n_max)
+    if n == 0:
+        p = factor_index(w, n_max).factor_counts(int(occ[0]), int(occ[-1]), n_max)
+    else:
+        p = complexity(base, n_max)
     return all(p[i] == i + 2 for i in range(n_max))
 
 

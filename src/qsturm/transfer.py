@@ -400,6 +400,14 @@ def _dyadic(L_max: int) -> List[int]:
     return dyadic if dyadic[-1] == L_max else dyadic + [L_max]
 
 
+def _slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares slope of each column of y against x in closed form, the
+    mean-centred x . y over x . x: np.polyfit's leading coefficient without
+    its LAPACK solve."""
+    x = x - x.mean()
+    return x @ y / (x @ x)
+
+
 def growth_exponents(spec: ModelSpec, E: float, shift: int, L_max: int) -> GrowthExponents:
     """Power-law exponents of ||phi||_L over normalized initial conditions.
 
@@ -439,7 +447,7 @@ def growth_exponents(spec: ModelSpec, E: float, shift: int, L_max: int) -> Growt
     if kept < 4:
         raise DegenerateFit("not enough dyadic scales before blow-up")
     lnL = np.log(np.asarray(dyadic[:kept], dtype=float))
-    slopes = np.polyfit(lnL, log_norms[:, :kept].T, 1)[0]
+    slopes = _slopes(lnL, log_norms[:, :kept].T)
     gamma1 = float(np.min(slopes))
     gamma2 = float(np.max(slopes))
     if gamma1 + gamma2 <= 0.0 or not np.isfinite(gamma1 + gamma2):

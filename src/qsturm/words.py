@@ -433,22 +433,59 @@ class FactorIndex:
         first = np.minimum.reduceat(self.order, self.run_starts(m))
         return np.sort(first[first <= len(self.order) - m])
 
+    def factor_counts(self, lo: int, hi: int, n_max: int) -> List[int]:
+        """Factor counts p(1..n_max) of the factor w[lo:hi] of the indexed word,
+        for n_max <= cap: at each length m, the runs that hold a start in
+        [lo, hi - m]."""
+        after = self.order >= lo
+        return [int(np.count_nonzero(np.logical_or.reduceat(after & (self.order <= hi - m),
+                                                             self.run_starts(m))))
+                for m in range(1, n_max + 1)]
+
+
+_CHUNK = 1 << 14  # positions or pairs per step of the packing, the tie test and the LCP lifting
+
 
 def _rank(key: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Suffix order by key (int32), the dense int32 rank of each position with
-    a -1 sentinel after the last (the end of the word matches nothing), and
-    the top rank."""
+    """Suffix order by key (int32), the dense rank of each position in the
+    smallest signed type that holds the top rank + 1, with a -1 sentinel
+    after the last (the end of the word matches nothing), and the top rank."""
     n = len(key)
     order = np.argsort(key).astype(np.int32)
     sorted_key = key[order]
-    new = np.zeros(n, dtype=np.int32)
+    new = np.zeros(n, dtype=bool)
     np.not_equal(sorted_key[1:], sorted_key[:-1], out=new[1:])
     del sorted_key  # before the rank is allocated
-    np.cumsum(new, out=new)
-    rank = np.empty(n + 1, dtype=np.int32)
-    rank[order] = new
+    top = int(np.count_nonzero(new))
+    dtype = next(t for t in (np.int8, np.int16, np.int32) if top < np.iinfo(t).max)
+    rank = np.empty(n + 1, dtype=dtype)
+    rank[order] = np.cumsum(new, dtype=dtype)
     rank[n] = -1
-    return order, rank, int(new[-1]) if n else 0
+    return order, rank, top
+
+
+def _packed_key(codes: np.ndarray, base: int, k: int) -> np.ndarray:
+    """The first k symbols of each suffix as one int64 in base `base`: code + 1
+    per symbol and 0 past the end of the word, then a -1 sentinel after the
+    last position (the end of the word is below every digit).
+
+    Appends s = 1, 2, 4, ... symbols at a time in place, chunk by chunk from
+    the front, so a chunk reads only digits that have not been shifted yet.
+    """
+    n = len(codes)
+    packed = np.empty(n + 1, dtype=np.int64)
+    packed[:n] = codes
+    packed[:n] += 1
+    packed[n] = -1
+    for s in (1 << j for j in range(k.bit_length() - 1)):
+        m = max(n - s, 0)  # the positions followed by s symbols
+        for a in range(0, n, _CHUNK):
+            b = min(a + _CHUNK, n)
+            head = packed[a:b] * base**s
+            c = min(max(m, a), b)
+            head[:c - a] += packed[a + s:c + s]
+            packed[a:b] = head
+    return packed
 
 
 def _build_index(codes: np.ndarray, length: int) -> FactorIndex:
@@ -456,45 +493,53 @@ def _build_index(codes: np.ndarray, length: int) -> FactorIndex:
     capped LCP by binary lifting over the ranks of every round.
 
     The first round sorts one packed int64 key per position: its first k
-    symbols in base B = sigma + 1, sigma = largest code + 1 (code + 1 per
-    symbol, and 0 past the end of the word). Each later round sorts one int64
-    key rank*(top+2) + next+1. The doubling also stops early when all ranks
-    are distinct, and the LCP is then exact. O(n log n) per round,
-    1 + ceil(log2(length / k)) rounds. Orders, ranks and the LCP are int32,
-    and each round's order is freed before the next argsort, so the build
-    peaks below 64 bytes per symbol.
+    symbols in base B = sigma + 1, sigma = largest code + 1. Each later round
+    sorts one key rank*(top+2) + next+1, int32 while (top+2)^2 < 2^31. The
+    doubling also stops early when all ranks are distinct, and the LCP is
+    then exact. O(n log n) per round, 1 + ceil(log2(length / k)) rounds.
+    Orders and the LCP are int32 and ranks the smallest type that holds
+    them; each round's order is freed before the next argsort, the packed key
+    is rebuilt for the lifting only once the ranks are used up, and the tie
+    test and the lifting run over chunks of pairs, so the build peaks at
+    about 24 bytes per symbol.
     """
     n = len(codes)
     base = int(codes.max(initial=0)) + 2
     k = 1  # the largest power of two with base^k < 2^63 that length still needs
     while k < length and base ** (2 * k) < 2**63:
         k *= 2
-    packed = np.append(codes.astype(np.int64) + 1, -1)  # the end of the word is below every digit
-    for s in (1 << j for j in range(k.bit_length() - 1)):
-        m = max(n - s, 0)  # packed holds s symbols; append the s that follow
-        packed[:m] = packed[:m] * base**s + packed[s:n]
-        packed[m:n] *= base**s
-    order, rank, top = _rank(packed[:n])
+    order, rank, top = _rank(_packed_key(codes, base, k)[:n])
     ranks = [rank]  # ranks[j][i] ranks w[i:i+k*2^j]; equal ranks mean equal full windows
     span = k
     while span < length and top < n - 1:
-        key = np.multiply(rank[:n], top + 2, dtype=np.int64)
+        key = np.multiply(rank[:n], top + 2, dtype=np.int32 if (top + 2) ** 2 < 2**31 else np.int64)
         key[: n - span] += rank[span:n] + 1
         del order  # before the argsort allocates
         order, rank, top = _rank(key)
         del key
         ranks.append(rank)
         span *= 2
-    left, right = order[:-1], order[1:]
+    chunks = [(a, min(a + _CHUNK, n - 1)) for a in range(0, n - 1, _CHUNK)]  # pairs order[i], order[i+1]
     rank = ranks.pop()  # only the ties at the last span are needed of it
-    tied = rank[left] == rank[right]
-    lcp = np.zeros(len(left), dtype=np.int32)
+    tied = np.empty(max(n - 1, 0), dtype=bool)
+    for a, b in chunks:
+        tied[a:b] = rank[order[a:b]] == rank[order[a + 1:b + 1]]
+    lcp = np.zeros(len(tied), dtype=np.int32)
     q = k.bit_length() - 1
     for p in range(q + len(ranks) - 1, -1, -1):
-        # ranks[p - q] is the last one left; below span k the first 2^p
-        # symbols are the top digits of the packed key
-        rank = ranks.pop() if p >= q else packed // base ** (k - (1 << p))
-        lcp[rank[left + lcp] == rank[right + lcp]] += 1 << p
+        if p >= q:
+            rank = ranks.pop()  # ranks[p - q], the last one left
+        elif p == q - 1:
+            del rank  # before the packed key is rebuilt
+            rank = _packed_key(codes, base, k)
+        unit = base ** max(k - (1 << p), 0)  # below span k the first 2^p symbols are its top digits
+        for a, b in chunks:
+            run = lcp[a:b]
+            left, right = rank[order[a:b] + run], rank[order[a + 1:b + 1] + run]
+            if unit > 1:
+                left //= unit
+                right //= unit
+            run[left == right] += 1 << p
     lcp[tied] = span
     cap = span if tied.any() else n
     return FactorIndex(order, lcp, cap)

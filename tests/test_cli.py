@@ -602,6 +602,8 @@ def test_unrecognized_argument_after_command_shows_full_usage(fib_path, capsys):
 INVALID = [
     (["tracemap", "--energy", "nan"], "--energy must be finite, got nan"),
     (["tracemap", "--energy", "inf"], "--energy must be finite, got inf"),
+    (["tracemap", "--energy", "1", "--levels", "0"], "--levels must be at least 2, got 0"),
+    (["tracemap", "--energy", "1", "--levels", "1"], "--levels must be at least 2, got 1"),
     (["gordon", "--energy", "inf"], "--energy must be finite, got inf"),
     (["alpha", "--energy=-inf"], "--energy must be finite, got -inf"),
     (["bands", "--level", "3", "--tol", "nan"], "--tol must be finite, got nan"),

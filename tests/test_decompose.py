@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import qsturm.words
 from qsturm.decompose import (
     _recurrent_bispecial,
     _return_structure,
@@ -218,6 +219,33 @@ def test_return_structure_bytes_per_symbol():
     finally:
         tracemalloc.stop()
     assert peak <= 60 * len(w), peak / len(w)
+
+
+@pytest.mark.parametrize("model", ["fibonacci", "digits", "prefixed"])
+def test_decompose_builds_one_factor_index(model, monkeypatch):
+    # The bispecial factor has length 0 on these windows, so the Sturmian
+    # check reads its base's counts from the window's own index.
+    builds = []
+    build = qsturm.words._build_index
+    monkeypatch.setattr(qsturm.words, "_build_index",
+                        lambda codes, length: builds.append(length) or build(codes, length))
+    assert cassaigne_decompose(_model_word(model, 10**5)).bispecial_length == 0
+    assert len(builds) == 1, builds
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_decompose_bytes_per_symbol(model):
+    # One factor index held through the return structure at n = 0: about
+    # 43 bytes per symbol (62 with a second index over the base; q5, whose
+    # bispecial factor has length 20, peaks at 32).
+    w = _model_word(model, 10**5)
+    tracemalloc.start()
+    try:
+        cassaigne_decompose(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 46 * len(w), peak / len(w)
 
 
 def _headed_word(kind):

@@ -607,19 +607,35 @@ def _growth_sites(spec, E, shift, L_max):
 
 
 def _fit_sizes(monkeypatch, fits=None):
-    """The number of dyadic scales of each np.polyfit call from here on; the
-    fitted values (ln ||phi||, scale by angle) go to fits if one is given."""
+    """The number of dyadic scales of each fit from here on, the site loop's
+    np.polyfit and growth_exponents' closed-form slopes alike; the values
+    growth_exponents fits (ln ||phi||, scale by angle) go to fits if one is
+    given."""
     sizes = []
-    polyfit = np.polyfit
+    polyfit, slopes = np.polyfit, qsturm.transfer._slopes
 
-    def spy(x, y, deg):
+    def spy_polyfit(x, y, deg):
+        sizes.append(len(x))
+        return polyfit(x, y, deg)
+
+    def spy(x, y):
         sizes.append(len(x))
         if fits is not None:
             fits.append(y)
-        return polyfit(x, y, deg)
+        return slopes(x, y)
 
-    monkeypatch.setattr(np, "polyfit", spy)
+    monkeypatch.setattr(np, "polyfit", spy_polyfit)
+    monkeypatch.setattr(qsturm.transfer, "_slopes", spy)
     return sizes
+
+
+@pytest.mark.parametrize("L_max", [1000, 30_000, 100_000, 10**7])
+def test_slopes_match_polyfit(L_max):
+    # ln ||phi|| by scale and angle, slopes between 0 and 1 with noise
+    rng = np.random.default_rng(L_max)
+    x = np.log(np.asarray(_dyadic(L_max), dtype=float))
+    y = x[:, None] * rng.uniform(0.0, 1.0, 32) + rng.normal(0.0, 0.3, (len(x), 32))
+    assert np.abs(qsturm.transfer._slopes(x, y) - np.polyfit(x, y, 1)[0]).max() <= 1e-13
 
 
 def _assert_growth_matches(got, want, sizes):

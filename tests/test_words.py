@@ -26,6 +26,7 @@ from qsturm.words import (
     Word,
     characteristic_prefix,
     complexity,
+    factor_index,
     find_squares,
     level_words_prime,
     palindrome_split,
@@ -424,6 +425,24 @@ def test_complexity_reuses_and_regrows_index(codes, data):
     assert complexity(w, small) == _brute_complexity(codes, small)
 
 
+# Two or three letters, with long repeats so that capped indexes are reached.
+_sliced = st.tuples(st.integers(2, 3), st.lists(st.integers(0, 2), min_size=1, max_size=12),
+                    st.integers(1, 8), st.lists(st.integers(0, 2), max_size=12)).map(
+    lambda t: [c % t[0] for c in t[1] * t[2] + t[3]]).filter(lambda codes: len(codes) >= 3)
+
+
+@given(_sliced, st.data())
+@settings(max_examples=150, deadline=None)
+def test_factor_counts_match_complexity_of_the_slice(codes, data):
+    # decompose reads the counts of its length-0 base from the window's index
+    lo = data.draw(st.integers(0, len(codes) - 2))
+    hi = data.draw(st.integers(lo + 2, len(codes)))
+    n_max = data.draw(st.integers(1, hi - lo - 1))
+    w = Word(codes, ("a", "b", "c"))
+    counts = factor_index(w, n_max).factor_counts(lo, hi, n_max)
+    assert counts == complexity(w[lo:hi], n_max)
+
+
 # The packed first key spans 32 symbols over one or two letters, 16 over
 # three to five and 4 over 255 (base^k < 2^63 with base = letters + 1).
 _PACKED_SPAN = {1: 32, 2: 32, 3: 16, 5: 16, 255: 4}
@@ -490,20 +509,22 @@ def test_build_index_matches_naive_oracle(sigma, kind):
 
 
 def test_build_index_peak_memory(bench_specs):
-    # One packed int64 key and the int32 ranks of the doubling rounds are
-    # kept for the LCP lifting; the rest is freed round by round.
+    # The ranks of the doubling rounds, in the smallest type that holds them,
+    # are kept for the LCP lifting, and the packed key is rebuilt once they
+    # are used up; the rest is freed round by round or allocated per chunk.
     codes = qs_prefix(bench_specs["fibonacci"], 10**5).codes
     peak = _peak(lambda: _build_index(codes, 401))
-    assert peak <= 9.0e6, peak
+    assert peak <= 3.6e6, peak
 
 
 @pytest.mark.parametrize("model", BENCH)
 def test_build_index_bytes_per_symbol(bench_specs, model):
-    # int32 orders, ranks and LCP, and each round's order freed before the
-    # next argsort: about 46 bytes per symbol at this length (80 with int64).
+    # int32 order and LCP, int8 or int16 ranks, int32 keys after the first
+    # round and chunked LCP lifting: about 24 bytes per symbol at this length
+    # (46 with int32 ranks and int64 keys, 80 with int64 everything).
     codes = qs_prefix(bench_specs[model], 10**5).codes
     peak = _peak(lambda: _build_index(codes, 201))
-    assert peak <= 64 * len(codes), peak / len(codes)
+    assert peak <= 34 * len(codes), peak / len(codes)
 
 
 def test_complexity_window_guard():
