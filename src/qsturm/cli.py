@@ -148,9 +148,7 @@ def _cmd_tracemap(spec, args, out: Output):
 
 def _cmd_bands(spec, args, out: Output):
     bl = spectrum.periodic_bands(spec, args.level, tol=args.tol)
-    out.extra["band_count"] = bl.band_count
-    out.extra["total_measure"] = bl.total_measure
-    out.extra["merged"] = bl.merged
+    out.extra.update(band_count=bl.band_count, dd_energies=bl.dd_energies, total_measure=bl.total_measure)
     out.header(["E_lo", "E_hi"])
     for lo, hi in bl.bands:
         out.row(lo, hi)

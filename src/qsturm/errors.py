@@ -59,7 +59,3 @@ class OutOfRange(QsturmError):
 
 class DegenerateFit(QsturmError):
     pass
-
-
-class GridTooCoarse(QsturmError):
-    pass

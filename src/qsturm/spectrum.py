@@ -1,12 +1,8 @@
 """Spectrum approximation: periodic-approximant band spectra, stable-set
 sweeps via trace-map classification, measure statistics, and the
-eigenvalues of finite tridiagonal truncations.
-
-The eigenvalues come from Sturm counts (Barth, Martin and Wilkinson 1967)
-run on the transfer lane kernel, numpy only: every eigenvalue is bracketed
-by counts, bisected until its bracket holds it alone, then refined by
-count-checked regula falsi steps to 2^-40 of its Gershgorin window (about
-3e-12 at the benchmark models' 500 and 2,000 sites, against dense eigvalsh).
+eigenvalues of finite tridiagonal truncations. Bands and eigenvalues are
+both bracketed by Sturm counts (Barth, Martin and Wilkinson 1967) on the
+transfer lane kernel, numpy only.
 """
 
 from __future__ import annotations
@@ -16,28 +12,26 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .errors import GridTooCoarse, LengthBudgetExceeded
+from .errors import LengthBudgetExceeded
 from .tracemap import classify_many
-from .transfer import ENERGY_MARGIN, energy_grid, energy_window, half_traces_many, sturm_counts
-from .words import DEFAULT_LENGTH_BUDGET, ModelSpec, _images, _sturmian_words, qs_prefix
+from .transfer import ENERGY_MARGIN, _levels, energy_window, half_traces_many, sturm_counts
+from .window import _dd_mul, _dd_sites
+from .words import DEFAULT_LENGTH_BUDGET, ModelSpec, _images, _sturmian_words, level_words_prime, qs_prefix
 
 
 class _BandListFields(NamedTuple):
     bands: Tuple[Tuple[float, float], ...]
     level: str
-    merged: bool
+    dd_energies: int
 
 
 class BandList(_BandListFields):
-    """Sorted disjoint closed energy intervals with provenance.
-
-    merged: fewer than |s'_n| bands were resolved, because some bands touch
-    or are narrower than a grid cell.
-    """
+    """Sorted disjoint closed energy intervals with provenance; dd_energies
+    counts the energies whose half trace was recomputed in double-double."""
 
     __slots__ = ()
 
-    def __new__(cls, bands: Tuple[Tuple[float, float], ...], level: str, merged: bool = False):
+    def __new__(cls, bands: Tuple[Tuple[float, float], ...], level: str, dd_energies: int = 0):
         prev_hi = -np.inf
         for lo, hi in bands:
             if lo > hi:
@@ -45,7 +39,7 @@ class BandList(_BandListFields):
             if lo < prev_hi:
                 raise ValueError("bands must be sorted and disjoint")
             prev_hi = hi
-        return super().__new__(cls, bands, level, merged)
+        return super().__new__(cls, bands, level, dd_energies)
 
     @property
     def band_count(self) -> int:
@@ -59,51 +53,77 @@ class BandList(_BandListFields):
         return any(lo - dilation <= E <= hi + dilation for lo, hi in self.bands)
 
 
-def periodic_bands(spec: ModelSpec, n: int, tol: float = 1e-10) -> BandList:
-    """sigma(H_n) = {E : |tr M_E(n)| <= 2} for the |s'_n|-periodic approximant.
+# Each round of the band search cuts every open bracket into _SECTIONS: a round
+# costs mostly the Python loops over sites and levels, so 8 sections take a
+# third of bisection's rounds (4 and 16 were slower on the benchmark levels).
+_SECTIONS = 8
 
-    Band edges are located by sign-change bisection of |tau| - 2 on one grid
-    of max(128 |s'_n|, 16384) cells over the energy window, refined to tol.
-    A grid of more than DEFAULT_LENGTH_BUDGET cells is refused before it is
-    allocated.
-    """
+
+def periodic_bands(spec: ModelSpec, n: int, tol: float = 1e-10) -> BandList:
+    """sigma(H_n) = {E : |tr M_E(n)| <= 2}: the p = |s'_n| bands of the periodic
+    approximant. Each Dirichlet eigenvalue of s'_n[1:] is bracketed by Sturm
+    counts until a point of its gap is seen; between two such cuts lies one
+    band, whose edges are bracketed to tol (README, qsturm.spectrum). The
+    O(p^2) search is refused, before the word is built, past p^2 =
+    DEFAULT_LENGTH_BUDGET."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not tol > 0:
         raise ValueError("tol must be > 0")
-    # |s'_n| from the level lengths: the word itself is not built
     a, b = _images(spec)
-    expected = next(itertools.islice(_sturmian_words(spec.cf, len(a), len(b)), n + 1, None))
-    cells = max(128 * expected, 16384)
-    if cells > DEFAULT_LENGTH_BUDGET:
-        raise LengthBudgetExceeded(f"band grid of {cells} cells exceeds budget {DEFAULT_LENGTH_BUDGET}")
-    grid = energy_grid(spec, cells + 1)
-    inside = _in_band(spec, n, grid)
-    if not inside.any():
-        raise GridTooCoarse(f"no bands found for level {n} on a {cells}-cell grid")
-    bands = _bands_from_indicator(spec, n, grid, inside, tol)
-    merged = len(bands) < expected
-    return BandList(tuple(bands), level=f"periodic:{n}", merged=merged)
+    p = next(itertools.islice(_sturmian_words(spec.cf, len(a), len(b)), n + 1, None))
+    if p * p > DEFAULT_LENGTH_BUDGET:
+        raise LengthBudgetExceeded(f"{p} bands: p^2 = {p * p} exceeds budget {DEFAULT_LENGTH_BUDGET}")
+    v = spec.potential_values(level_words_prime(spec, n)[n + 1])
+    dd = []
 
+    @np.errstate(over="ignore", invalid="ignore")
+    def half_traces(E):
+        """half_traces_many; where it overflows (inf - inf reads nan), the
+        double-double level product, whose exponent never overflows."""
+        y = half_traces_many(spec, E, n)
+        bad = ~np.isfinite(y)
+        if bad.any():
+            hi, lo, e = _levels(spec, n, lambda w: _dd_sites(E[bad], w), _dd_mul)[n + 1]
+            y[bad] = np.ldexp(0.5 * (hi[0, 0] + hi[1, 1] + (lo[0, 0] + lo[1, 1])), e)
+        dd.append(int(bad.sum()))
+        return y
 
-def _in_band(spec, n, energies) -> np.ndarray:
-    """|tr M_E(n)| <= 2, elementwise."""
-    # Entries overflow only where |tr M_E(n)| >> 2, that is outside every
-    # band; there the half trace is inf or nan and the comparison is False.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.abs(half_traces_many(spec, energies, n)) <= 1.0
+    def apart(lo, hi):
+        """Brackets still wider than tol and than the spacing of their points."""
+        return np.abs(hi - lo) > np.maximum(tol, _SECTIONS * np.spacing(np.abs(lo) + np.abs(hi)))
 
-
-def _bands_from_indicator(spec, n, grid, inside, tol) -> List[Tuple[float, float]]:
-    """Assemble bands from the grid indicator, bisecting both edges of
-    every run at once between the run's end points and their outer neighbours.
-
-    sigma(H_n) lies ENERGY_MARGIN inside the window, so no run reaches its ends.
-    """
-    first, last = _runs(inside)
-    edges = _bisect_edges(spec, n, np.concatenate((grid[first - 1], grid[last + 1])),
-                          np.concatenate((grid[first], grid[last])), tol)
-    return list(zip(edges[:len(first)].tolist(), edges[len(first):].tolist()))
+    # Until cut[j] is seen, lo[j] and hi[j] bracket Dirichlet eigenvalue j,
+    # count(lo) < j <= count(hi), seeded by a sweep over p + 1 even trials. One
+    # that closes first belongs to a gap of zero width; its midpoint is kept.
+    lo_w, hi_w = energy_window(spec)
+    cut = np.r_[lo_w, np.full(p - 1, np.nan), hi_w]
+    lo, hi = np.full(p + 1, lo_w), np.full(p + 1, hi_w)
+    E = np.linspace(lo_w, hi_w, p + 1)
+    while E.size:
+        # E is in gap j: j - 1 or j eigenvalues below E, |y| > 1 with the sign (-1)^(p - j)
+        c, y = sturm_counts(v[1:], E)[0], half_traces(E)
+        j = c + ((p - c) % 2 != np.signbit(y))
+        seen = (np.abs(y) > 1.0) & (j > 0) & (j < p)
+        cut[j[seen]] = E[seen]
+        i = np.searchsorted(np.maximum.accumulate(c), np.arange(p + 1) - 1, side="right")
+        lo = np.maximum(lo, np.where(i > 0, E[i - 1], -np.inf))
+        hi = np.minimum(hi, np.where(i < len(E), E[np.minimum(i, len(E) - 1)], np.inf))
+        todo = np.isnan(cut) & apart(lo, hi)
+        E = np.unique(lo[todo, None] + (hi - lo)[todo, None] * np.arange(1, _SECTIONS) / _SECTIONS)
+    cut = np.where(np.isnan(cut), 0.5 * (lo + hi), cut)
+    # Left of band j (0-based), |y| > 1 with the sign (-1)^(p - j); right of it,
+    # with the other. Each edge brackets [cut[j], cut[j + 1]] on its side's test,
+    # true at out, false at inn; a band narrower than tol may come out reversed.
+    side = np.outer([1.0, -1.0], np.where((p - np.arange(p)) & 1, -1.0, 1.0)).ravel()
+    out, inn = np.concatenate((cut[:-1], cut[1:])), np.concatenate((cut[1:], cut[:-1]))
+    while (live := apart(out, inn)).any():
+        o, w = out[live, None], (inn - out)[live, None]
+        T = np.hstack((o, o + w * np.arange(1, _SECTIONS) / _SECTIONS, inn[live, None]))
+        k = (side[live, None] * half_traces(T[:, 1:-1].ravel()).reshape(len(T), -1) > 1.0).sum(axis=1)
+        out[live], inn[live] = T[np.arange(len(T)), k], T[np.arange(len(T)), k + 1]
+    edges = np.sort(inn.reshape(2, p), axis=0)
+    return BandList(tuple(zip(*edges.tolist())), level=f"periodic:{n}", dd_energies=sum(dd))
 
 
 def _runs(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -111,18 +131,6 @@ def _runs(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     padded = np.concatenate(([False], mask, [False]))
     edges = np.flatnonzero(padded[1:] != padded[:-1])
     return edges[0::2], edges[1::2] - 1
-
-
-def _bisect_edges(spec, n, e_out, e_in, tol):
-    """Bisect |tau| - 2 between outside points and inside points, elementwise."""
-    for _ in range(200):
-        if np.max(np.abs(e_out - e_in)) <= tol:
-            break
-        mid = 0.5 * (e_out + e_in)
-        hit = _in_band(spec, n, mid)
-        e_in = np.where(hit, mid, e_in)
-        e_out = np.where(hit, e_out, mid)
-    return e_in
 
 
 class StableSweep(NamedTuple):
@@ -262,8 +270,5 @@ def measure_report(spec: ModelSpec, n_range: Sequence[int]) -> List[MeasureRow]:
     """Per-level band statistics: count proliferation and measure decay."""
     if not n_range:
         raise ValueError("n_range must be nonempty")
-    rows = []
-    for n in n_range:
-        bl = periodic_bands(spec, n)
-        rows.append(MeasureRow(n, bl.band_count, bl.total_measure))
-    return rows
+    bands = [periodic_bands(spec, n) for n in n_range]
+    return [MeasureRow(n, bl.band_count, bl.total_measure) for n, bl in zip(n_range, bands)]

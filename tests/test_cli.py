@@ -135,14 +135,21 @@ def test_bands_free_model(free_path, capsys):
 
 def test_bands_emit_no_runtime_warning(fib_path, tmp_path, capsys):
     # Off-spectrum level products overflow; the band test must absorb that
-    # rather than let numpy warn on the terminal.
+    # rather than let numpy warn on the terminal: the half traces that
+    # overflow are recomputed in double-double, and those energies counted,
+    # which at lambda = 16, levels 15 and 16, is needed for the right bands.
     digits_path = tmp_path / "digits.json"
     digits_path.write_text(json.dumps(DIGITS_MODEL))
-    for path, level in ((str(digits_path), "6"), (fib_path, "14")):
+    strong_path = tmp_path / "strong.json"
+    strong_path.write_text(json.dumps(dict(FIB_MODEL, potential={"a": 16.0, "b": 0.0})))
+    for path, level in ((str(digits_path), "6"), (fib_path, "14"),
+                        (str(strong_path), "15"), (str(strong_path), "16")):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            code, _, err = run(["bands", path, "--level", level], capsys)
+            code, out, err = run(["bands", path, "--level", level], capsys)
         assert code == 0, err
+        dd = next(int(line[14:]) for line in out.splitlines() if line.startswith("# dd_energies="))
+        assert dd > 0 or path != str(strong_path), level
 
 
 def test_tracemap_marks_unreliable_invariant(capsys):
@@ -207,17 +214,18 @@ def test_tracemap_large_coefficient_is_fast(tmp_path, capsys):
 
 
 def test_large_coefficient_band_grid_fails_with_one_line(tmp_path, capsys):
-    # a_2 = 10^7: the band grid of level 2 (and of the default --nrange 3:10)
-    # is refused before it is allocated, with one line, not a MemoryError.
+    # a_2 = 10^7: the O(p^2) band solve of level 2 (and of the default
+    # --nrange 3:10) is refused before the level word is built, with one
+    # line, not a MemoryError.
     model = dict(FIB_MODEL, cf={"coeffs": [1, 10_000_000], "periodic": [1]},
                  potential={"a": 1.0, "b": 0.0})
     path = tmp_path / "big.json"
     path.write_text(json.dumps(model))
-    for argv, cells in ((["bands", str(path), "--level", "2"], 1_280_000_128),
-                        (["spectrum", str(path)], 1_280_000_256)):
+    for argv, p in ((["bands", str(path), "--level", "2"], 10_000_001),
+                    (["spectrum", str(path)], 10_000_002)):
         code, out, err = run(argv, capsys)
         assert (code, out) == (1, ""), argv
-        assert err == (f"error: LengthBudgetExceeded: band grid of {cells} cells "
+        assert err == (f"error: LengthBudgetExceeded: {p} bands: p^2 = {p * p} "
                        f"exceeds budget 50000000\n"), argv
 
 

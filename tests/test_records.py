@@ -43,7 +43,7 @@ RECORDS = [
                        "normalized": True}, {}, {"shift": 3}),
     (GrowthExponents, {"gamma1": 0.4, "gamma2": 0.5, "alpha": 0.9, "escaped": True},
      {"escaped": False}, {"alpha": 0.8}),
-    (BandList, {"bands": ((0.0, 1.0),), "level": "n=2", "merged": True}, {"merged": False},
+    (BandList, {"bands": ((0.0, 1.0),), "level": "n=2", "dd_energies": 3}, {"dd_energies": 0},
      {"bands": ((0.0, 1.5),)}),
     (StableSweep, {"bands": BANDS, "grid": np.linspace(0.0, 3.0, 4),
                    "bounded": np.array([True, False, True, True]), "sup_norm": np.ones(4),

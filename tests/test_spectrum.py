@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsturm import spectrum
 from qsturm.contfrac import ContinuedFraction
 from qsturm.errors import LengthBudgetExceeded
 from qsturm.spectrum import (
@@ -80,7 +79,6 @@ def test_band_count_matches_period(fib_spec):
         from qsturm.words import level_words_prime
         expected = len(level_words_prime(fib_spec, n)[n + 1])
         assert bl.band_count == expected
-        assert not bl.merged
 
 
 def test_bands_nested_measure_decreases(fib_spec):
@@ -102,24 +100,46 @@ def _floquet_edges(values):
     return np.sort(np.concatenate(edges))
 
 
+def _assert_floquet_bands(spec, n):
+    """periodic_bands at level n has exactly p = |s'_n| bands, and each edge
+    lies within 1e-9 of its dense Floquet edge: sorted, the 2p periodic and
+    antiperiodic eigenvalues pair up into the p bands."""
+    from qsturm.words import level_words_prime
+    oracle = _floquet_edges(spec.potential_values(level_words_prime(spec, n)[n + 1]))
+    bl = periodic_bands(spec, n)
+    assert bl.band_count == len(oracle) // 2, (n, bl.band_count)
+    err = np.abs(np.array(bl.bands).ravel() - oracle).max()
+    assert err <= 1e-9, (n, err)
+    return bl
+
+
 @pytest.mark.parametrize("model,n_max", [("fib_spec", 12), ("q5_spec", 8),
                                          ("cf2_spec", 8), ("prefix_spec", 10)])
 def test_band_edges_are_floquet_eigenvalues(model, n_max, request):
-    from qsturm.words import level_words_prime
     spec = request.getfixturevalue(model)
     for n in range(1, n_max + 1):
-        word = level_words_prime(spec, n)[n + 1]
-        oracle = _floquet_edges(spec.potential_values(word))
-        bands = np.array(periodic_bands(spec, n).bands)
-        nearest = np.abs(bands.ravel()[:, None] - oracle[None, :]).min(axis=1)
-        assert nearest.max() <= 1e-9, (model, n)
-        # Sorted edges pair up into the p bands; none wider than a grid cell
-        # may be missing from the result.
-        lo, hi = energy_window(spec)
-        wide = oracle[1::2] - oracle[0::2] > (hi - lo) / 16384
-        met = [np.any((bands[:, 0] <= b_hi) & (bands[:, 1] >= b_lo))
-               for b_lo, b_hi in zip(oracle[0::2][wide], oracle[1::2][wide])]
-        assert all(met), (model, n, met.count(False))
+        _assert_floquet_bands(spec, n)
+
+
+# The band levels of the spectral benchmark workload, and the largest level
+# of each model that the tests and the README run.
+SPECTRAL_LEVELS = {"fibonacci": (12, 14, 16), "q5": (8, 10, 12), "digits": (5, 6, 7),
+                   "prefixed": (10, 12)}
+
+
+@pytest.mark.parametrize("model,n", [(m, n) for m in sorted(SPECTRAL_LEVELS) for n in SPECTRAL_LEVELS[m]])
+def test_bench_model_bands_match_floquet(bench_specs, model, n):
+    _assert_floquet_bands(bench_specs[model], n)
+
+
+def test_strong_coupling_bands_need_the_double_double_fallback():
+    # Fibonacci at lambda = 16: from level 15 on, the double trace map
+    # overflows to nan at energies the search visits, and without the
+    # double-double fallback edges at levels 15 and 16 were 13 and 15 off.
+    spec = ModelSpec(ContinuedFraction((), (1,)), Substitution.identity(),
+                     Word.from_str("", ("a", "b")), {"a": 16.0, "b": 0.0})
+    for n in (15, 16):
+        assert _assert_floquet_bands(spec, n).dd_energies > 0
 
 
 def test_bad_arguments(fib_spec):
@@ -133,16 +153,16 @@ def test_bad_arguments(fib_spec):
 
 
 def test_band_grid_over_budget_refused_before_allocating():
-    # a_2 = 10^7: |s'_2| = 10^7 + 1 asks for a grid of 1.28e9 cells, which
-    # would take 9.5 GiB. Neither the grid nor the level word is built.
+    # a_2 = 10^7: |s'_2| = 10^7 + 1 bands ask for an O(p^2) solve with
+    # p^2 = 1e14, past DEFAULT_LENGTH_BUDGET. The level word is not built.
     spec = ModelSpec(ContinuedFraction((1, 10**7), (1,)), Substitution.identity(),
                      Word.from_str("", ("a", "b")), {"a": 1.0, "b": 0.0})
     assert periodic_bands(spec, 1).band_count == 1
-    for n, cells in ((2, 1_280_000_128), (3, 1_280_000_256)):
+    for n, p in ((2, 10_000_001), (3, 10_000_002)):
         tracemalloc.start()
         try:
             with pytest.raises(LengthBudgetExceeded,
-                               match=f"^band grid of {cells} cells exceeds budget {DEFAULT_LENGTH_BUDGET}$"):
+                               match=rf"^{p} bands: p\^2 = {p * p} exceeds budget {DEFAULT_LENGTH_BUDGET}$"):
                 periodic_bands(spec, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -233,58 +253,6 @@ def test_runs_match_loop():
     for mask in masks:
         first, last = _runs(mask)
         assert list(zip(first.tolist(), last.tolist())) == _runs_loop(mask)
-
-
-def _bands_per_slot(spec, n, grid, inside, tol):
-    """Oracle: the per-slot band assembly periodic_bands ran before, with
-    its window-end cases (a run touching an end keeps that grid point)."""
-    runs = _runs_loop(inside)
-    K = len(grid)
-    if not runs:
-        return []
-    e_out, e_in, slots = [], [], []
-    edges = {}
-    for r, (i, j) in enumerate(runs):
-        if i == 0:
-            edges[(r, 0)] = float(grid[0])
-        else:
-            slots.append((r, 0))
-            e_out.append(grid[i - 1])
-            e_in.append(grid[i])
-        if j == K - 1:
-            edges[(r, 1)] = float(grid[K - 1])
-        else:
-            slots.append((r, 1))
-            e_out.append(grid[j + 1])
-            e_in.append(grid[j])
-    if slots:
-        refined = spectrum._bisect_edges(spec, n, np.array(e_out), np.array(e_in), tol)
-        for slot, e in zip(slots, refined):
-            edges[slot] = float(e)
-    return [(edges[(r, 0)], edges[(r, 1)]) for r in range(len(runs))]
-
-
-# The band levels of the spectral benchmark workload.
-SPECTRAL_LEVELS = {"fibonacci": (12, 14), "q5": (8, 10), "digits": (5, 6), "prefixed": (10, 12)}
-
-
-@pytest.mark.parametrize("model", sorted(SPECTRAL_LEVELS))
-def test_band_assembly_matches_per_slot_oracle(bench_specs, model, monkeypatch):
-    # Every run lies inside the window, so the oracle's end cases never fire
-    # and both assemblies bisect the same brackets: equal bits, band by band.
-    seen = []
-    assemble = spectrum._bands_from_indicator
-
-    def recording(*args):
-        seen.append(args)
-        return assemble(*args)
-
-    monkeypatch.setattr(spectrum, "_bands_from_indicator", recording)
-    for n in SPECTRAL_LEVELS[model]:
-        bands = np.array(periodic_bands(bench_specs[model], n).bands)
-        inside = seen[-1][3]
-        assert len(bands) > 1 and not inside[0] and not inside[-1]
-        assert np.array_equal(bands.view(np.uint64), np.array(_bands_per_slot(*seen[-1])).view(np.uint64))
 
 
 # ---------------------------------------------------------- finite eigenvalues
