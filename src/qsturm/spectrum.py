@@ -55,7 +55,7 @@ class BandList(_BandListFields):
 
 # Each round of the band search cuts every open bracket into _SECTIONS: a round
 # costs mostly the Python loops over sites and levels, so 8 sections take a
-# third of bisection's rounds (4 and 16 were slower on the benchmark levels).
+# third of bisection's rounds (16 was slower, 4 no faster, on bench levels).
 _SECTIONS = 8
 
 
