@@ -85,7 +85,7 @@ def periodic_bands(spec: ModelSpec, n: int, tol: float = 1e-10) -> BandList:
         bad = ~np.isfinite(y)
         if bad.any():
             hi, lo, e = _levels(spec, n, lambda w: _dd_sites(E[bad], w), _dd_mul)[n + 1]
-            y[bad] = np.ldexp(0.5 * (hi[0, 0] + hi[1, 1] + (lo[0, 0] + lo[1, 1])), e)
+            y[bad] = np.ldexp(0.5 * (hi[0, 0] + hi[1, 1] + (lo[0, 0] + lo[1, 1])), e.astype(np.int64))
         dd.append(int(bad.sum()))
         return y
 

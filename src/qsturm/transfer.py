@@ -262,7 +262,7 @@ def lyapunov_many(spec: ModelSpec, energies: np.ndarray, L: int, shift: int = 0)
 
     The window's matrix is a product of O(sum log a_k) level matrices
     (_window_factors), taken in double-double (_dd_mul), _BATCH energies at
-    a time.
+    a time. No word is built, so L and shift may be any ints (no length budget).
     """
     if L < 1000:
         raise ValueError("lyapunov requires L >= 1000")
@@ -396,7 +396,7 @@ class GrowthExponents(NamedTuple):
 
 def _dyadic(L_max: int) -> List[int]:
     """The scales of the growth fit: 8, 16, ... up to L_max, and L_max."""
-    dyadic = [2**j for j in range(3, int(np.log2(L_max)) + 1)]
+    dyadic = [2**j for j in range(3, int(L_max).bit_length())]
     return dyadic if dyadic[-1] == L_max else dyadic + [L_max]
 
 
@@ -436,8 +436,7 @@ def growth_exponents(spec: ModelSpec, E: float, shift: int, L_max: int) -> Growt
     angles = np.pi * np.arange(_N_ANGLES) / _N_ANGLES
     s, c, zero = np.sin(angles)[:, None], np.cos(angles)[:, None], np.zeros((_N_ANGLES, 1))
     phi, none = np.array([[s, zero], [c, zero]]), np.zeros((2, 2, _N_ANGLES, 1))
-    e = np.zeros((_N_ANGLES, 1), dtype=np.int64)
-    M, G = _pair_mul(W, ((phi, none, e), (none, none, e)))
+    M, G = _pair_mul(W, ((phi, none, zero), (none, none, zero)))
     # ln ||phi||_N and ln |phi(N + 1)| by angle and scale
     log_norms = 0.5 * np.logaddexp(_dd_log(G), 2.0 * np.log(np.abs(c)))
     big = np.log(_ESCAPE_MAGNITUDE)

@@ -4,9 +4,10 @@ transfer.lyapunov_many and transfer.growth_exponents.
 
 A double-double matrix is (hi, lo, e): entry arrays hi and lo of shape
 (2, 2) + K, K the energy axes, whose sums carry about 106 bits (Dekker 1971; Knuth, TAOCP 2,
-4.2.2), scaled by 2^e, e an int64 array (K,), so that the largest |hi| of
-each energy lies in [0.5, 1). numpy has no fused multiply-add, so products
-are split (Dekker); the scaling is exact.
+4.2.2), scaled by 2^e, e a float64 array (K,) of whole numbers (past 2^53 it
+rounds, where an int64 would wrap), so that the largest |hi| of each energy
+lies in [0.5, 1). numpy has no fused multiply-add, so products are split
+(Dekker); the scaling is exact.
 
 This is a module of its own so that no module is long: every CLI call
 compiles the package, and the longest module's compile sets a floor under
@@ -19,7 +20,7 @@ from functools import reduce
 
 import numpy as np
 
-from .words import ModelSpec, _images, _ostrowski_digits, _window_end
+from .words import ModelSpec, _images, _ostrowski_digits
 
 _SPLIT = 134217729.0  # 2^27 + 1
 
@@ -64,11 +65,12 @@ def _dd_mul(A, B):
 def _dd_add(A, B):
     """The double-double sum A + B, rescaled by _dd_scaled: both are first
     brought to the larger exponent, exactly unless a term drops below the
-    smallest double."""
+    smallest double. Shifts stop at -1100 (any |hi| < 1 is 0 there), which int64 holds."""
     (ah, al, ae), (bh, bl, be) = A, B
     e = np.maximum(ae, be)
-    s, err = _two_sum(np.ldexp(ah, ae - e), np.ldexp(bh, be - e))
-    return _dd_scaled(s, err + np.ldexp(al, ae - e) + np.ldexp(bl, be - e), e)
+    da, db = (np.maximum(x - e, -1100).astype(np.int64) for x in (ae, be))
+    s, err = _two_sum(np.ldexp(ah, da), np.ldexp(bh, db))
+    return _dd_scaled(s, err + np.ldexp(al, da) + np.ldexp(bl, db), e)
 
 
 def _dd_t(M):
@@ -82,7 +84,7 @@ def _dd_site(energies: np.ndarray, x: float):
     one, zero = np.ones_like(energies), np.zeros_like(energies)
     d, dl = _two_sum(energies, -x)
     return _dd_scaled(np.array([[d, -one], [one, zero]]), np.array([[dl, zero], [zero, zero]]),
-                      np.zeros(energies.shape, dtype=np.int64))
+                      np.zeros(energies.shape))
 
 
 def _fold(mul, factors):
@@ -110,7 +112,7 @@ def _pair_sites(energies: np.ndarray, v: np.ndarray):
     at a time as _dd_sites folds M; one site has G = e1 e1^T."""
     one, zero = np.ones_like(energies), np.zeros_like(energies)
     e11 = _dd_scaled(np.array([[one, zero], [zero, zero]]), np.zeros((2, 2) + energies.shape),
-                     np.zeros(energies.shape, dtype=np.int64))
+                     np.zeros(energies.shape))
     return _fold(_pair_mul, ((_dd_site(energies, x), e11) for x in v))
 
 
@@ -141,9 +143,12 @@ def _window_factors(spec: ModelSpec, L: int, shift: int):
     before the window start are dropped, and the one it falls in gives a
     suffix, which s'_j = s'_{j-1}^{a_j} s'_{j-2} splits into level factors
     (Damanik, Killip and Lenz, CMP 212 (2000), tile Sturmian windows so).
-    Only the prefix and two partial images are left site by site.
+    Only the prefix and two partial images are left site by site. No word
+    is built, so the length budget of words does not bound L or shift.
     """
-    end = _window_end(L, shift)
+    if shift < 0:
+        raise ValueError("shift must be >= 0")
+    end = shift + L
     prefix = spec.potential_values(spec.prefix.recode(spec.subst.target_alphabet))
     images = [spec.potential_values(w) for w in _images(spec)]
     factors = [prefix[shift:end]] if shift < len(prefix) else []
@@ -153,15 +158,19 @@ def _window_factors(spec: ModelSpec, L: int, shift: int):
     digits, q = _ostrowski_digits(spec.cf, hi, [len(v) for v in images])  # q[j + 1] = |s'_j|
 
     def suffix(j, r):
-        """Factors of the last r symbols of s'_j, 0 < r <= |s'_j|."""
-        if r == q[j + 1]:
-            return [(j, 1)]
-        if j < 1:
-            return [images[j + 1][-r:]]
-        if r <= q[j - 1]:
-            return suffix(j - 2, r)
-        m, t = divmod(r - q[j - 1], q[j])
-        return (suffix(j - 1, t) if t else []) + ([(j - 1, m)] if m else []) + [(j - 2, 1)]
+        """Factors of the last r symbols of s'_j, 0 < r <= |s'_j|, found last
+        first by a loop: a window may span more levels than Python recurses."""
+        rev = []
+        while r and r != q[j + 1] and j >= 1:
+            if r <= q[j - 1]:
+                j -= 2
+            else:
+                m, r = divmod(r - q[j - 1], q[j])
+                rev += [(j - 2, 1)] + ([(j - 1, m)] if m else [])
+                j -= 1
+        if r:
+            rev.append((j, 1) if r == q[j + 1] else images[j + 1][-r:])
+        return rev[::-1]
 
     pos = 0
     for j in range(len(digits) - 1, -1, -1):

@@ -301,13 +301,12 @@ def _check_levels(cf: ContinuedFraction, n_max: int, max_length: int):
         raise LengthBudgetExceeded(f"|s_{n_max}| = {q} exceeds budget {max_length}")
 
 
-def sturmian_levels(cf: ContinuedFraction, n_max: int,
-                    max_length: int = DEFAULT_LENGTH_BUDGET) -> List[Word]:
+def sturmian_levels(cf: ContinuedFraction, n_max: int) -> List[Word]:
     """Level words s_{-1}..s_{n_max}; returned list index i holds s_{i-1}.
 
     s_{-1} = a, s_0 = b, s_1 = b^{a_1 - 1} a, s_n = s_{n-1}^{a_n} s_{n-2}.
     """
-    _check_levels(cf, n_max, max_length)
+    _check_levels(cf, n_max, DEFAULT_LENGTH_BUDGET)
     return list(itertools.islice(_sturmian_words(cf, *_letters()), n_max + 2))
 
 
@@ -378,20 +377,16 @@ def level_words_prime(spec: ModelSpec, n_max: int) -> List[Word]:
     return list(itertools.islice(_sturmian_words(spec.cf, *_images(spec)), n_max + 2))
 
 
-def _window_end(length: int, shift: int) -> int:
-    """shift + length for a window of u, which must fit the length budget."""
+def qs_prefix(spec: ModelSpec, length: int, shift: int = 0) -> Word:
+    """Symbols shift..shift+length-1 of u = prefix . S(c_theta), a built
+    word, so its end must fit the length budget."""
     if length < 1:
         raise ValueError("length must be >= 1")
     if shift < 0:
         raise ValueError("shift must be >= 0")
-    if shift + length > DEFAULT_LENGTH_BUDGET:
-        raise LengthBudgetExceeded(f"window end {shift + length} exceeds budget {DEFAULT_LENGTH_BUDGET}")
-    return shift + length
-
-
-def qs_prefix(spec: ModelSpec, length: int, shift: int = 0) -> Word:
-    """Symbols shift..shift+length-1 of u = prefix . S(c_theta)."""
-    need = _window_end(length, shift)
+    need = shift + length
+    if need > DEFAULT_LENGTH_BUDGET:
+        raise LengthBudgetExceeded(f"window end {need} exceeds budget {DEFAULT_LENGTH_BUDGET}")
     # each base symbol yields at least ell_min symbols, so u reaches need
     ell_min = min(len(img) for img in spec.subst.images.values())
     base_need = max(1, -(-max(1, need - len(spec.prefix)) // ell_min))

@@ -333,6 +333,37 @@ def test_transfer_commands_record_factors(tmp_path, capsys):
     assert doc["factors"] == 216 and "segments" not in doc and "chunk" not in doc
 
 
+def test_transfer_commands_take_hull_scale_windows(capsys):
+    # lyapunov and alpha multiply Ostrowski level factors and build no word,
+    # so the length budget of the word-building commands does not bound
+    # their length or shift.
+    q5, fib = str(BENCH_MODELS / "q5.json"), str(BENCH_MODELS / "fibonacci.json")
+    cases = [(["lyapunov", q5, "--length", str(10**12), "--shift", str(10**15 - 1), "--grid", "3"],
+              "# factors=104"),
+             (["alpha", fib, "--energy", "0.5", "--lmax", str(2**40)], "# factors=854")]
+    for argv, factors in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(argv, capsys)
+        assert code == 0 and err == "", argv
+        assert factors in out.splitlines(), argv
+    code, out, err = run(["lyapunov", q5, "--shift", "-1"], capsys)
+    assert (code, out, err) == (1, "", "error: ValueError: shift must be >= 0\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--length", "50000001"],
+    ["generate", "--length", "1", "--shift", "50000000"],
+    ["complexity", "--length", "50000001"],
+    ["decompose", "--length", "2", "--shift", "49999999"],
+], ids=["generate", "generate-shift", "complexity", "decompose"])
+def test_word_building_commands_keep_the_length_budget(fib_path, argv, capsys):
+    # One symbol past the budget, refused before any word is built.
+    code, out, err = run([argv[0], fib_path, *argv[1:]], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: LengthBudgetExceeded: window end 50000001 exceeds budget 50000000\n"
+
+
 def test_gordon_rows(fib_path, capsys):
     code, out, _ = run(
         ["gordon", fib_path, "--energy", "0.1", "--nmax", "4"], capsys)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import qsturm.transfer
 import qsturm.window
 from qsturm.cli import main
+from qsturm.contfrac import approximants
 from qsturm.errors import DegenerateFit, OutOfRange, ZeroInitialCondition
 from qsturm.spectrum import energy_window
 from qsturm.tracemap import orbit_trace
@@ -24,6 +25,7 @@ from qsturm.transfer import (
     GordonResult,
     GrowthExponents,
     _dyadic,
+    _window_product,
     _window_products,
     gordon_residual,
     growth_exponents,
@@ -40,7 +42,7 @@ from qsturm.transfer import (
     sturm_counts,
     word_matrix,
 )
-from qsturm.window import _window_factors
+from qsturm.window import _dd_mul, _dd_sites, _window_factors
 from qsturm.words import ModelSpec, Word, find_squares, level_words_prime, qs_prefix
 
 BENCH_MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "models"
@@ -459,6 +461,64 @@ def test_lyapunov_long_window_builds_no_word(bench_specs):
     assert peak < 2**20 * 4, peak
     assert np.all(np.isfinite(got)) and np.all(got >= 0)
     assert lyapunov_many(spec, energies[:0], 10**7).shape == (0,)
+
+
+def _dd_window(spec, energies, L, shift):
+    """The double-double matrix (hi, lo, e) of the window u[shift:shift+L]."""
+    return _window_product(spec, [L], shift, lambda v: _dd_sites(energies, v), _dd_mul)[0]
+
+
+@pytest.mark.parametrize("model", ["fibonacci", "q5", "prefixed"])
+def test_window_products_compose_past_the_length_budget(bench_specs, model):
+    # u[s:s+L1+L2] = u[s+L1:s+L1+L2] u[s:s+L1], 8*10^10 sites from 10^9 + 7,
+    # three Ostrowski tilings of different windows. Entries are compared
+    # after aligning the exponents: 2^e alone overflows off the spectrum.
+    spec = bench_specs[model]
+    energies = np.linspace(*energy_window(spec), 50)
+    s, L1, L2 = 10**9 + 7, 3 * 10**10, 5 * 10**10 + 3
+    (ah, al, ae) = _dd_window(spec, energies, L1 + L2, s)
+    (bh, bl, be) = _dd_mul(_dd_window(spec, energies, L2, s + L1), _dd_window(spec, energies, L1, s))
+    da, db = np.exp2(ae - np.maximum(ae, be)), np.exp2(be - np.maximum(ae, be))
+    diff = (ah * da - bh * db) + (al * da - bl * db)
+    assert ae.max() > 10**11  # off the spectrum the entries pass 2^(10^11)
+    assert np.abs(diff).max() <= 1e-20
+
+
+@pytest.mark.parametrize("n", [10, 20, 30, 40, 50])
+def test_window_half_trace_matches_periodic_orbit(bench_specs, n):
+    # With an empty prefix and S the identity, u[0:|s'_n|] = s'_n, whose half
+    # trace is the trace map's y_E(n). At fibonacci E = -1 the orbit is
+    # periodic and y cycles through +-0.5; |s'_50| = 20,365,011,074.
+    spec = bench_specs["fibonacci"]
+    hi, lo, e = _dd_window(spec, np.array([-1.0]), approximants(spec.cf, n)[1], 0)
+    y = orbit_trace(spec, -1.0, n)[n - 1].y
+    assert abs(y) == 0.5
+    assert abs((((hi[0, 0] + hi[1, 1]) + (lo[0, 0] + lo[1, 1])) * np.exp2(e))[0] / 2 - y) <= 1e-12
+
+
+def test_window_product_past_int64_exponents(bench_specs):
+    # Off the spectrum the exponent of M passes 2^63 near 3*10^18 q5 sites,
+    # where an int64 exponent wrapped (gamma read -0.18 at E = -2.5 and 10^19
+    # sites). As a double it rounds past 2^53, and gamma converges at O(1/L).
+    spec = bench_specs["q5"]
+    energies = np.linspace(*energy_window(spec), 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ref = lyapunov_many(spec, energies, 10**15)
+        for L in (10**19, 10**100, 10**300):
+            assert np.max(np.abs(lyapunov_many(spec, energies, L, shift=10**30) - ref)) <= 1e-12, L
+        # the Gram sums add terms whose exponents differ by more than int64 holds
+        assert growth_exponents(spec, 0.5, 0, 2**200) == growth_exponents(spec, 0.5, 0, 2**40)
+    with pytest.raises(ValueError, match="^shift must be >= 0$"):
+        _window_factors(spec, 10**12, -1)
+
+
+def test_dyadic_scales_increase_to_any_length():
+    # float log2 rounds 2^53 - 1 up to 53, which put 2^53 past L_max.
+    for L_max in (1000, 1024, 2**53 - 1, 2**60 + 1, 10**30):
+        scales = _dyadic(L_max)
+        assert scales[0] == 8 and scales[-1] == L_max
+        assert all(a < b <= L_max for a, b in zip(scales, scales[1:]))
 
 
 @pytest.mark.parametrize("big", [1e5, 1e7])

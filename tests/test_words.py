@@ -107,7 +107,7 @@ def test_length_and_count_match_convergents(coeffs):
 
 def test_length_budget(fib_cf):
     with pytest.raises(LengthBudgetExceeded):
-        sturmian_levels(fib_cf, 40, max_length=1000)
+        sturmian_levels(fib_cf, 40)
 
 
 def test_prefix_budget_fails_before_allocating(fib_cf, fib_spec):
