@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import LengthBudgetExceeded
 from .tracemap import classify_many
-from .transfer import ENERGY_MARGIN, _levels, energy_window, half_traces_many, sturm_counts
+from .transfer import ENERGY_MARGIN, _batches, _levels, energy_window, half_traces_many, sturm_counts
 from .window import _dd_mul, _dd_sites
 from .words import DEFAULT_LENGTH_BUDGET, ModelSpec, _images, _sturmian_words, level_words_prime, qs_prefix
 
@@ -51,6 +51,15 @@ class BandList(_BandListFields):
 
     def covers(self, E: float, dilation: float = 0.0) -> bool:
         return any(lo - dilation <= E <= hi + dilation for lo, hi in self.bands)
+
+
+def _sorted_distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of x, ascending: np.unique without its numpy.ma
+    import (numpy 2.x asks np.ma.is_masked), which no qsturm array needs."""
+    x = np.sort(x, axis=None)
+    keep = np.ones(x.size, dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
 
 
 # Each round of the band search cuts every open bracket into _SECTIONS: a round
@@ -110,7 +119,8 @@ def periodic_bands(spec: ModelSpec, n: int, tol: float = 1e-10) -> BandList:
         lo = np.maximum(lo, np.where(i > 0, E[i - 1], -np.inf))
         hi = np.minimum(hi, np.where(i < len(E), E[np.minimum(i, len(E) - 1)], np.inf))
         todo = np.isnan(cut) & apart(lo, hi)
-        E = np.unique(lo[todo, None] + (hi - lo)[todo, None] * np.arange(1, _SECTIONS) / _SECTIONS)
+        E = _sorted_distinct(lo[todo, None]
+                             + (hi - lo)[todo, None] * np.arange(1, _SECTIONS) / _SECTIONS)
     cut = np.where(np.isnan(cut), 0.5 * (lo + hi), cut)
     # Left of band j (0-based), |y| > 1 with the sign (-1)^(p - j); right of it,
     # with the other. Each edge brackets [cut[j], cut[j + 1]] on its side's test,
@@ -162,8 +172,12 @@ def stable_set(spec: ModelSpec, grid: int = 4000, n_levels: int = 30) -> StableS
     lo, hi = energy_window(spec)
     width = (hi - lo) / grid
     centers = lo + width * (np.arange(grid) + 0.5)
-    escaped, _steps, sup, _inv = classify_many(spec, centers, n_levels)
-    bounded = ~escaped
+    bounded, sup = np.empty(grid, dtype=bool), np.empty(grid)
+    # One batch at a time, so the escape steps and invariants, which a sweep
+    # does not keep, are held for one batch and not for the whole grid.
+    for s in _batches(centers):
+        escaped, _steps, sup[s], _inv = classify_many(spec, centers[s], n_levels)
+        bounded[s] = ~escaped
     first, last = _runs(bounded)
     bands = zip((centers[first] - 0.5 * width).tolist(), (centers[last] + 0.5 * width).tolist())
     band_list = BandList(tuple(bands), level=f"stable:grid={grid},levels={n_levels}")
@@ -257,7 +271,7 @@ def tridiagonal_eigenvalues(diag: np.ndarray) -> np.ndarray:
             falsi = np.where(df >= 0, L + step, H - step)
             usable = ((c_hi[act] - c_lo[act] == 1) & (stale[act] < 3)
                       & (L - below >= w) & (above - H >= w) & (falsi > L) & (falsi < H))
-        trials = np.unique(np.where(usable, falsi, 0.5 * (L + H)))
+        trials = _sorted_distinct(np.where(usable, falsi, 0.5 * (L + H)))
 
 
 class MeasureRow(NamedTuple):

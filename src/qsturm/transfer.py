@@ -262,10 +262,14 @@ def lyapunov_many(spec: ModelSpec, energies: np.ndarray, L: int, shift: int = 0)
 
     The window's matrix is a product of O(sum log a_k) level matrices
     (_window_factors), taken in double-double (_dd_mul), _BATCH energies at
-    a time. No word is built, so L and shift may be any ints (no length budget).
+    a time. No word is built, so no length budget applies: L may be up to
+    10**300, where the power-of-two exponent stays a finite double at any
+    finite energy, and shift any int.
     """
     if L < 1000:
         raise ValueError("lyapunov requires L >= 1000")
+    if L > 10**300:
+        raise ValueError("lyapunov requires L <= 10**300")
     energies = np.asarray(energies, dtype=float)
     out = np.empty(len(energies))
     for s in _batches(energies):

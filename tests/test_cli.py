@@ -349,6 +349,11 @@ def test_transfer_commands_take_hull_scale_windows(capsys):
         assert factors in out.splitlines(), argv
     code, out, err = run(["lyapunov", q5, "--shift", "-1"], capsys)
     assert (code, out, err) == (1, "", "error: ValueError: shift must be >= 0\n")
+    # Past 10**300 sites gamma could read inf, or L fail to convert to a float.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(["lyapunov", q5, "--length", str(10**309), "--grid", "3"], capsys)
+    assert (code, out, err) == (1, "", "error: ValueError: lyapunov requires L <= 10**300\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -479,6 +484,29 @@ def test_cli_import_leaves_scipy_unloaded():
             "assert run_layers() >= {'errors', 'window'} | LAYERS, run_layers()\n"
             "assert 'scipy' not in sys.modules, 'scipy imported'\n")
     subprocess.run([sys.executable, "-c", code], env=_qsturm_env(), check=True)
+
+
+def test_commands_leave_numpy_ma_unloaded():
+    # np.unique imports numpy.ma on its first call in numpy 2.x (it asks
+    # np.ma.is_masked), about 18 ms of start-up that no qsturm array needs:
+    # the band and eigenvalue searches sort their trials themselves.
+    q5 = str(BENCH_MODELS / "q5.json")
+    argvs = [["generate", q5, "--length", "50"],
+             ["complexity", q5, "--length", "2000", "--nmax", "10"],
+             ["decompose", q5, "--length", "2000"],
+             ["tracemap", q5, "--energy", "0.5"],
+             ["bands", q5, "--level", "6"],
+             ["spectrum", q5, "--grid", "200", "--nrange", "3:5"],
+             ["lyapunov", q5, "--grid", "5"],
+             ["gordon", q5, "--energy", "0.1", "--nmax", "4"],
+             ["alpha", q5, "--energy", "0.5"]]
+    assert [a[0] for a in argvs] == list(qsturm.cli._COMMANDS)
+    code = ("import json, sys\nfrom qsturm.cli import main\nfrom qsturm import ModelSpec, finite_eigenvalues\n"
+            f"for argv in {argvs!r}:\n    assert main(argv) == 0, argv\n"
+            f"spec = ModelSpec.from_json(json.load(open({q5!r})))\n"
+            "assert len(finite_eigenvalues(spec, 0, 300)) == 300\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n")
+    subprocess.run([sys.executable, "-c", code], env=_qsturm_env(), check=True, stdout=subprocess.DEVNULL)
 
 
 def _generate_q5(before="", after="", argv=None):

@@ -201,10 +201,10 @@ def test_stable_set_guards(fib_spec):
 
 
 # Bytes per energy that stable_set holds by its contract: the sweep's grid,
-# sup norm and bounded mask (8 + 8 + 1), the rest of classify_many's results
-# (escaped mask, escape step and invariant: 1 + 8 + 8), and two one-byte
-# masks (the overflow mask inside classify_many, the run boundaries).
-_STABLE_SET_HELD = 36
+# sup norm and bounded mask (8 + 8 + 1) and the two one-byte masks of _runs.
+# The rest of classify_many's results (escaped mask, escape step, invariant
+# and the overflow mask inside it, 18 bytes more) is held one batch at a time.
+_STABLE_SET_HELD = 19
 
 
 @pytest.mark.parametrize("kernel", ["half_traces_many", "stable_set"])

@@ -513,6 +513,20 @@ def test_window_product_past_int64_exponents(bench_specs):
         _window_factors(spec, 10**12, -1)
 
 
+def test_lyapunov_refuses_lengths_past_1e300(bench_specs):
+    # From 10**308 q5 sites the exponent of M passed the largest double at
+    # E = -2.5 (gamma read inf), and from 10**309 out / L could not convert L
+    # to a float. At 10**300 the exponent stays finite at any finite energy.
+    spec = bench_specs["q5"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        gammas = lyapunov_many(spec, np.array([-np.finfo(float).max, 1.0, np.finfo(float).max]), 10**300)
+    assert np.isfinite(gammas).all()
+    for L in (10**300 + 1, 10**309):
+        with pytest.raises(ValueError, match=r"^lyapunov requires L <= 10\*\*300$"):
+            lyapunov_many(spec, np.array([1.0]), L)
+
+
 def test_dyadic_scales_increase_to_any_length():
     # float log2 rounds 2^53 - 1 up to 53, which put 2^53 past L_max.
     for L_max in (1000, 1024, 2**53 - 1, 2**60 + 1, 10**30):
