@@ -488,7 +488,7 @@ def test_cli_import_leaves_scipy_unloaded():
 
 def test_commands_leave_numpy_ma_unloaded():
     # np.unique imports numpy.ma on its first call in numpy 2.x (it asks
-    # np.ma.is_masked), about 18 ms of start-up that no qsturm array needs:
+    # np.ma.is_masked), about 16 ms of start-up that no qsturm array needs:
     # the band and eigenvalue searches sort their trials themselves.
     q5 = str(BENCH_MODELS / "q5.json")
     argvs = [["generate", q5, "--length", "50"],
