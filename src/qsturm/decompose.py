@@ -16,7 +16,7 @@ from .errors import (
     RegenerationMismatch,
     WindowTooLarge,
 )
-from .words import Word, Substitution, complexity, factor_index, safe_window, substitute
+from .words import _CHUNK, Word, Substitution, complexity, factor_index, safe_window, substitute
 
 
 class RauzyGraph(NamedTuple):
@@ -155,8 +155,7 @@ def cassaigne_decompose(w: Word) -> Decomposition:
         subst = Substitution({"a": images[0], "b": images[1]})
         prefix_w = w[:occ[0]]
         window_length = int(occ[-1])
-        regenerated = prefix_w + substitute(subst, base)
-        if regenerated != w[:window_length]:
+        if not _regenerates(w, subst, base, len(prefix_w), window_length):
             raise RegenerationMismatch("internal error: decomposition does not regenerate the window")
         theta = base.count("a") / len(base)
         return Decomposition(
@@ -190,7 +189,7 @@ def _recurrent_bispecial(w: Word, n: int) -> Optional[np.ndarray]:
     left = np.flatnonzero(np.bincount(vertex[first + 1]) >= 2)
     if len(right) != 1 or len(left) != 1 or right[0] != left[0]:
         return None
-    return np.flatnonzero(vertex == right[0])
+    return np.flatnonzero(vertex == right[0]).astype(np.int32)
 
 
 def _return_structure(w: Word, n: int):
@@ -203,6 +202,10 @@ def _return_structure(w: Word, n: int):
     are dropped up to the last one that breaks the two-path regime: a third
     extension, or a return word other than the last one seen with its
     extension (a finite transient before the recurrent regime).
+
+    Only the occurrences, the extensions and one flag per passage span the
+    window; the rest runs over chunks of _CHUNK passages, and the choice
+    codes are written over the extensions.
     """
     if n == 0:
         if len(w.alphabet) < 2:
@@ -212,40 +215,54 @@ def _return_structure(w: Word, n: int):
         occ = _recurrent_bispecial(w, n)
         if occ is None:
             return None
-        occ = occ.astype(np.int32)
     if len(occ) < _MIN_TAIL_RETURNS:
         return None
-    ext = w.codes[occ[:-1] + n]
-    length = np.diff(occ)
-    other = ext != ext[-1]
-    if not other.any():
+    codes = w.codes
+    passages = len(occ) - 1
+    chunks = [(a, min(a + _CHUNK, passages)) for a in range(0, passages, _CHUNK)]
+    ext = np.empty(passages, dtype=np.int32)
+    for a, b in chunks:
+        ext[a:b] = codes[occ[a:b] + n]
+    ok = ext != ext[-1]  # the other extension, until the chunks overwrite it
+    if not ok.any():
         return None
-    ref = np.array([len(ext) - 1, np.flatnonzero(other)[-1]])  # last passage with each extension
-    which = np.full(len(ext), -1, dtype=np.int8)
-    which[ext == ext[ref[1]]] = 1
-    which[~other] = 0
-    ok = (which >= 0) & (length == length[ref][which])
-    # Compare each candidate return word with its reference, symbol by
-    # symbol: the return words tile w[occ[0]:occ[-1]], so one gather through
-    # an index that runs along each passage from the start of its reference
-    # (of the passage itself where no reference fits) costs O(|w|).
-    delta = np.where(ok, occ[ref][which] - occ[:-1], 0)
-    starts = occ[:-1] - occ[0]
-    idx = np.ones(int(occ[-1] - occ[0]), dtype=np.int32)
-    idx[starts[1:]] += np.diff(delta)
-    idx[0] = occ[0] + delta[0]
-    del delta
-    np.cumsum(idx, out=idx)
-    mismatch = w.codes[idx] != w.codes[occ[0]:occ[-1]]
-    del idx
-    ok[np.logical_or.reduceat(mismatch, starts)] = False
-    bad = np.flatnonzero(~ok)
-    j0 = int(bad[-1]) + 1 if len(bad) else 0
-    if ref[1] < j0 or len(ext) - j0 < _MIN_TAIL_RETURNS:
+    ref = np.array([passages - 1, passages - 1 - int(np.argmax(ok[::-1]))])  # last passage with each extension
+    ref_ext, ref_occ, ref_len = ext[ref], occ[ref], occ[ref + 1] - occ[ref]
+    for a, b in chunks:
+        # Compare each candidate return word with its reference, symbol by
+        # symbol: the return words tile w[occ[a]:occ[b]], so one gather
+        # through an index that runs along each passage from the start of
+        # its reference (of the passage itself where no reference fits)
+        # costs O(occ[b] - occ[a]).
+        which = (ext[a:b] == ref_ext[1]).view(np.int8)
+        good = (ext[a:b] == ref_ext[which]) & (occ[a + 1:b + 1] - occ[a:b] == ref_len[which])
+        delta = np.where(good, ref_occ[which] - occ[a:b], 0)
+        starts = occ[a:b] - occ[a]
+        idx = np.ones(int(occ[b] - occ[a]), dtype=np.int32)
+        idx[starts[1:]] += np.diff(delta)
+        idx[0] = occ[a] + delta[0]
+        np.cumsum(idx, out=idx)
+        good[np.logical_or.reduceat(codes[idx] != codes[occ[a]:occ[b]], starts)] = False
+        ok[a:b] = good
+    j0 = 0 if ok.all() else passages - int(np.argmin(ok[::-1]))  # after the last failed passage
+    if ref[1] < j0 or passages - j0 < _MIN_TAIL_RETURNS:
         return None
-    ref = ref[np.argsort(ext[ref])]
-    images = tuple(w[occ[r]:occ[r + 1]] for r in ref)
-    return occ[j0:], images, (ext[j0:] == ext[ref[1]]).astype(np.int32)
+    order = np.argsort(ref_ext)
+    images = tuple(w[occ[r]:occ[r + 1]] for r in ref[order])
+    base = ext[j0:]
+    np.equal(base, ref_ext[order[1]], out=base)
+    return occ[j0:], images, base
+
+
+def _regenerates(w: Word, subst: Substitution, base: Word, start: int, stop: int) -> bool:
+    """Whether S(base) is w[start:stop], compared one chunk of _CHUNK base
+    symbols at a time so that S(base) is never built whole."""
+    for a in range(0, len(base), _CHUNK):
+        piece = substitute(subst, base[a:a + _CHUNK])
+        if piece != w[start:start + len(piece)]:
+            return False
+        start += len(piece)
+    return start == stop
 
 
 def _looks_sturmian(w: Word, n: int, occ: np.ndarray, base: Word) -> bool:

@@ -429,9 +429,12 @@ def growth_exponents(spec: ModelSpec, E: float, shift: int, L_max: int) -> Growt
     columns Phi and 0 and G = 0, reads both for every angle and scale. A
     scale is kept while no angle's norm there passes _ESCAPE_MAGNITUDE, and
     phi escapes if a scale is dropped or |phi(L_max + 1)| passes it.
+    L_max runs up to 10**300, as L does in lyapunov_many.
     """
     if L_max < 1000:
         raise ValueError("growth_exponents requires L_max >= 1000")
+    if L_max > 10**300:
+        raise ValueError("growth_exponents requires L_max <= 10**300")
     dyadic = _dyadic(L_max)
     energy = np.array([E], dtype=float)
     pairs = _window_product(spec, dyadic, shift, lambda v: _pair_sites(energy, v), _pair_mul)

@@ -418,9 +418,11 @@ class FactorIndex:
         return np.flatnonzero(new)
 
     def classes(self, m: int) -> np.ndarray:
-        """Run number at length m of the suffix starting at each position."""
-        out = np.empty(len(self.order), dtype=np.int64)
-        out[self.order] = np.cumsum(np.concatenate(([0], self.lcp < m)))
+        """Run number at length m of the suffix starting at each position (int32)."""
+        runs = np.zeros(len(self.order), dtype=np.int32)
+        np.cumsum(self.lcp < m, dtype=np.int32, out=runs[1:])
+        out = np.empty_like(runs)
+        out[self.order] = runs
         return out
 
     def first_occurrences(self, m: int) -> np.ndarray:

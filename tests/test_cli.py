@@ -354,6 +354,10 @@ def test_transfer_commands_take_hull_scale_windows(capsys):
         warnings.simplefilter("error", RuntimeWarning)
         code, out, err = run(["lyapunov", q5, "--length", str(10**309), "--grid", "3"], capsys)
     assert (code, out, err) == (1, "", "error: ValueError: lyapunov requires L <= 10**300\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(["alpha", fib, "--energy", "0.5", "--lmax", str(10**309)], capsys)
+    assert (code, out, err) == (1, "", "error: ValueError: growth_exponents requires L_max <= 10**300\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,11 +5,14 @@ import math
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import qsturm.decompose
 import qsturm.words
 from qsturm.decompose import (
     _recurrent_bispecial,
+    _regenerates,
     _return_structure,
     cassaigne_decompose,
     detect_qs,
@@ -17,7 +20,7 @@ from qsturm.decompose import (
     rotation_number,
     special_factors,
 )
-from qsturm.errors import InconclusiveWindow, NoBispecialFound, WindowTooLarge
+from qsturm.errors import InconclusiveWindow, NoBispecialFound, RegenerationMismatch, WindowTooLarge
 from qsturm.words import ModelSpec, Substitution, Word, complexity, qs_prefix, substitute
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -207,10 +210,24 @@ def test_return_structure_matches_passage_loop(model):
             _check_return_structure(w, n)
 
 
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("chunk", [None, 977])
+def test_return_structure_matches_passage_loop_over_chunks(model, chunk, monkeypatch):
+    # 40,000 symbols hold three chunks of 16,384 passages at n = 0; a chunk
+    # of 977 passages splits the few thousand passages of q5's n = 20 too.
+    if chunk is not None:
+        monkeypatch.setattr(qsturm.decompose, "_CHUNK", chunk)
+    w = _model_word(model, 40_000, shift=5)
+    n = cassaigne_decompose(w).bispecial_length
+    for k in sorted({0, n}):
+        assert _check_return_structure(w, k) is not None, k
+
+
 def test_return_structure_bytes_per_symbol():
-    # At n = 0 every symbol is a passage. The check runs on int32
-    # occurrences, offsets and one gather index: about 35 bytes per symbol
-    # (84 with int64 index arrays), below the factor index's peak.
+    # At n = 0 every symbol is a passage. The check holds int32 occurrences
+    # and extensions and one flag per passage over the window, and the rest
+    # one chunk of passages at a time: about 13.5 bytes per symbol (35 with
+    # window-long lengths, offsets and gather index).
     w = _model_word("fibonacci", 10**5)
     tracemalloc.start()
     try:
@@ -218,7 +235,7 @@ def test_return_structure_bytes_per_symbol():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 60 * len(w), peak / len(w)
+    assert peak <= 16 * len(w), peak / len(w)
 
 
 @pytest.mark.parametrize("model", ["fibonacci", "digits", "prefixed"])
@@ -235,9 +252,10 @@ def test_decompose_builds_one_factor_index(model, monkeypatch):
 
 @pytest.mark.parametrize("model", MODELS)
 def test_decompose_bytes_per_symbol(model):
-    # One factor index held through the return structure at n = 0: about
-    # 43 bytes per symbol (62 with a second index over the base; q5, whose
-    # bispecial factor has length 20, peaks at 32).
+    # The factor index build is the peak, about 23.6 bytes per symbol: the
+    # return structure and the regeneration check run over chunks next to
+    # the held index (43 bytes per symbol with window-long ones, 32 on q5
+    # with int64 run numbers).
     w = _model_word(model, 10**5)
     tracemalloc.start()
     try:
@@ -245,7 +263,64 @@ def test_decompose_bytes_per_symbol(model):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 46 * len(w), peak / len(w)
+    assert peak <= 26 * len(w), peak / len(w)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_decompose_peaks_in_detect_qs(model, monkeypatch):
+    # detect_qs builds the factor index; no later phase of the decomposition
+    # may hold more than that build did.
+    peaks = []
+    detect = qsturm.decompose.detect_qs
+
+    def traced_detect(w):
+        cls = detect(w)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return cls
+
+    monkeypatch.setattr(qsturm.decompose, "detect_qs", traced_detect)
+    w = _model_word(model, 10**5)
+    tracemalloc.start()
+    try:
+        cassaigne_decompose(w)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= peaks[0], [p / len(w) for p in peaks]
+
+
+def test_regeneration_check_spans_chunks():
+    # S(base) is compared with the window one chunk of base symbols at a
+    # time: a flip in a later chunk, or a base one symbol short or long,
+    # breaks the regeneration.
+    w = _model_word("fibonacci", 10**5)
+    d = cassaigne_decompose(w)
+    codes = d.base_prefix.codes
+    start, stop = len(d.prefix_w), d.window_length
+    assert len(codes) > 2 * qsturm.decompose._CHUNK
+    assert _regenerates(w, d.subst, d.base_prefix, start, stop)
+    flipped = codes.copy()
+    flipped[qsturm.decompose._CHUNK + 5] ^= 1
+    for base in (flipped, codes[:-1], np.append(codes, codes[-1])):
+        assert not _regenerates(w, d.subst, Word(base, ("a", "b")), start, stop)
+
+
+def test_decompose_reports_a_base_that_does_not_regenerate(monkeypatch):
+    # A return structure whose choice codes are wrong past the first chunk
+    # passes the Sturmian check, which reads the window's own counts at
+    # n = 0, and is caught by the regeneration check.
+    structure = qsturm.decompose._return_structure
+
+    def corrupted(w, n):
+        found = structure(w, n)
+        if found is not None:
+            found[2][-1] ^= 1
+        return found
+
+    monkeypatch.setattr(qsturm.decompose, "_return_structure", corrupted)
+    with pytest.raises(RegenerationMismatch):
+        cassaigne_decompose(_model_word("fibonacci", 10**5))
 
 
 def _headed_word(kind):

@@ -527,6 +527,19 @@ def test_lyapunov_refuses_lengths_past_1e300(bench_specs):
             lyapunov_many(spec, np.array([1.0]), L)
 
 
+def test_growth_exponents_refuse_lengths_past_1e300(bench_specs, monkeypatch):
+    # alpha --lmax 10**309 ran 105 s and let numpy RuntimeWarnings through
+    # as its exponents passed the largest double. The bound is checked
+    # before any window product is formed.
+    def no_product(*args):
+        raise AssertionError("window product formed before the length check")
+
+    monkeypatch.setattr(qsturm.transfer, "_window_product", no_product)
+    for L_max in (10**300 + 1, 10**309):
+        with pytest.raises(ValueError, match=r"^growth_exponents requires L_max <= 10\*\*300$"):
+            growth_exponents(bench_specs["fibonacci"], 0.5, 0, L_max)
+
+
 def test_dyadic_scales_increase_to_any_length():
     # float log2 rounds 2^53 - 1 up to 53, which put 2^53 past L_max.
     for L_max in (1000, 1024, 2**53 - 1, 2**60 + 1, 10**30):

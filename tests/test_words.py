@@ -504,7 +504,9 @@ def test_build_index_matches_naive_oracle(sigma, kind):
         assert index.lcp.tolist() == [min(x, cap) for x in lcp], length
         assert sorted(index.order.tolist()) == list(range(n))
         for m in range(1, min(cap, n) + 1):
-            assert index.classes(m).tolist() == classes[m], (length, m)
+            runs = index.classes(m)
+            assert runs.dtype == np.int32, runs.dtype
+            assert runs.tolist() == classes[m], (length, m)
             assert index.first_occurrences(m).tolist() == first[m], (length, m)
 
 
