@@ -12,10 +12,11 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
+# tracemap and window run on their first use: stable_set needs tracemap, and
+# window serves only half traces that overflow double.
+from . import tracemap, window
 from .errors import LengthBudgetExceeded
-from .tracemap import classify_many
 from .transfer import ENERGY_MARGIN, _batches, _levels, energy_window, half_traces_many, sturm_counts
-from .window import _dd_mul, _dd_sites
 from .words import DEFAULT_LENGTH_BUDGET, ModelSpec, _images, _sturmian_words, level_words_prime, qs_prefix
 
 
@@ -93,7 +94,7 @@ def periodic_bands(spec: ModelSpec, n: int, tol: float = 1e-10) -> BandList:
         y = half_traces_many(spec, E, n)
         bad = ~np.isfinite(y)
         if bad.any():
-            hi, lo, e = _levels(spec, n, lambda w: _dd_sites(E[bad], w), _dd_mul)[n + 1]
+            hi, lo, e = _levels(spec, n, lambda w: window._dd_sites(E[bad], w), window._dd_mul)[n + 1]
             y[bad] = np.ldexp(0.5 * (hi[0, 0] + hi[1, 1] + (lo[0, 0] + lo[1, 1])), e.astype(np.int64))
         dd.append(int(bad.sum()))
         return y
@@ -176,7 +177,7 @@ def stable_set(spec: ModelSpec, grid: int = 4000, n_levels: int = 30) -> StableS
     # One batch at a time, so the escape steps and invariants, which a sweep
     # does not keep, are held for one batch and not for the whole grid.
     for s in _batches(centers):
-        escaped, _steps, sup[s], _inv = classify_many(spec, centers[s], n_levels)
+        escaped, _steps, sup[s], _inv = tracemap.classify_many(spec, centers[s], n_levels)
         bounded[s] = ~escaped
     first, last = _runs(bounded)
     bands = zip((centers[first] - 0.5 * width).tolist(), (centers[last] + 0.5 * width).tolist())

@@ -10,13 +10,14 @@ a word first (rightmost factor in the product).
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Iterator, List, NamedTuple, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+# window runs on its first use: lyapunov_many and growth_exponents need it,
+# the Sturm counts and the trace kernels do not.
+from . import window
 from .errors import DegenerateFit, OutOfRange, ZeroInitialCondition
-from .window import (_dd_log, _dd_log_norm, _dd_mul, _dd_sites, _fold, _pair_mul, _pair_sites,
-                     _window_factors)
 from .words import ModelSpec, Word, _images, level_words_prime, qs_prefix
 
 
@@ -200,27 +201,55 @@ def _chunk_sites(energies: np.ndarray, v: np.ndarray) -> int:
     return max(1, min(_RENORM_EVERY, int(1000.0 / np.log2(2.0 + dmax))))
 
 
-def _sweep(lanes: np.ndarray, v: np.ndarray, x_prev, x0, C: int) -> Iterator[Tuple[np.ndarray, int]]:
+def _distinct(v: np.ndarray, C: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """(values, codes) with v = values[codes], values the distinct bit
+    patterns of v (so 0.0 and -0.0 stay apart), or None where there are
+    more than C of them."""
+    bits = v.view(np.int64)
+    order = np.argsort(bits, kind="stable")
+    new = np.empty(len(v), dtype=bool)
+    new[:1] = True
+    np.not_equal(bits[order[1:]], bits[order[:-1]], out=new[1:])
+    if np.count_nonzero(new) > C:
+        return None
+    codes = np.empty(len(v), dtype=np.intp)
+    codes[order] = np.cumsum(new) - 1
+    return v[order[new]], codes
+
+
+def _sweep(lanes: np.ndarray, v: np.ndarray, x_prev, x0, C: int, distinct=None
+           ) -> Iterator[Tuple[np.ndarray, int]]:
     """Three-term recursion x_{k+1} = (lane - v_k) x_k - x_{k-1} on lanes, C
     sites at a time.
 
     Rows 0 and 1 of a (C + 2, lanes) buffer start as x_prev and x0, and for
     each chunk of c sites row k + 2 receives x_{k+1}: two in-place ufunc
-    calls per site, so the arithmetic is that of d * x - x_prev with d =
-    lane - v_k. Yields (buf, c) after each chunk; on resume rows c and c + 1
-    carry into rows 0 and 1, so a caller may rescale them in place first. An
-    empty v yields one chunk of no sites, so a caller always sees the buffer.
+    calls per site, d * x_k into it, then x_{k-1} off it, with d = lane -
+    v_k from a row of its own. With distinct = (values, codes) from
+    _distinct, that row is lane - values[i], built once for each distinct
+    value and read by every site of code i, so a few rows stay in cache;
+    otherwise each chunk first writes lane - v_k into row k + 2 itself. The
+    doubles are the same either way. Yields (buf, c) after each chunk; on
+    resume rows c and c + 1 carry into rows 0 and 1, so a caller may
+    rescale them in place first. An empty v yields one chunk of no sites, so
+    a caller always sees the buffer.
     """
     buf = np.empty((C + 2,) + lanes.shape)
     buf[0], buf[1] = x_prev, x0
-    d = np.empty((C,) + lanes.shape)
     rows = list(buf)
-    steps = list(zip(d, rows, rows[1:], rows[2:]))
+    steps = list(zip(rows, rows[1:], rows[2:]))
+    if distinct is not None:
+        values, codes = distinct
+        value_rows = list(np.subtract(lanes, values[:, None]))
     mul, sub = np.multiply, np.subtract
     for start in range(0, len(v) or 1, C):
         c = min(C, len(v) - start)
-        np.subtract(lanes, v[start:start + c, None], out=d[:c])
-        for dk, prev, cur, nxt in steps[:c]:
+        if distinct is None:
+            np.subtract(lanes, v[start:start + c, None], out=buf[2:c + 2])
+            d = rows[2:c + 2]
+        else:
+            d = map(value_rows.__getitem__, codes[start:start + c].tolist())
+        for dk, (prev, cur, nxt) in zip(d, steps):
             mul(dk, cur, out=nxt)
             sub(nxt, prev, out=nxt)
         yield buf, c
@@ -234,11 +263,11 @@ def _window_product(spec: ModelSpec, ends: List[int], shift: int, sites, mul) ->
     one before times the product of the factors (_window_factors) of the
     piece between, with the level matrices of _levels built once up to the
     highest level a factor names."""
-    pieces = [_window_factors(spec, b - a, shift + a) for a, b in zip([0] + ends, ends)]
+    pieces = [window._window_factors(spec, b - a, shift + a) for a, b in zip([0] + ends, ends)]
     top = max((f[0] for factors in pieces for f in factors if isinstance(f, tuple)), default=0)
     levels = _levels(spec, top, sites, mul)
-    products = (_fold(mul, (_power(levels[f[0] + 1], f[1], mul) if isinstance(f, tuple) else sites(f)
-                            for f in factors)) for factors in pieces)
+    products = (window._fold(mul, (_power(levels[f[0] + 1], f[1], mul) if isinstance(f, tuple)
+                                   else sites(f) for f in factors)) for factors in pieces)
     return list(accumulate(products, lambda P, M: mul(M, P)))
 
 
@@ -274,7 +303,8 @@ def lyapunov_many(spec: ModelSpec, energies: np.ndarray, L: int, shift: int = 0)
     out = np.empty(len(energies))
     for s in _batches(energies):
         E = energies[s]
-        out[s] = _dd_log_norm(_window_product(spec, [L], shift, lambda v: _dd_sites(E, v), _dd_mul)[0])
+        M = _window_product(spec, [L], shift, lambda v: window._dd_sites(E, v), window._dd_mul)[0]
+        out[s] = window._dd_log_norm(M)
     return out / L
 
 
@@ -296,16 +326,25 @@ def sturm_counts(diag: np.ndarray, energies: np.ndarray) -> Tuple[np.ndarray, np
     theorem). One lane per energy. A zero inside the sequence adds one
     change whichever sign it takes, and sign(x_n) is that parity, so the
     count and the sign of det(E - T) always agree.
+
+    A diagonal of at most C distinct values (a word's potential) takes one
+    d row per value, and any other the chunk's own rows (_sweep). A chunk's
+    sign changes are summed in uint8, which its C <= 64 sites cannot
+    overflow, and then added to the count.
     """
     v = np.asarray(diag, dtype=float)
     energies = np.asarray(energies, dtype=float)
     K = len(energies)
+    C = _chunk_sites(energies, v)
     changes = np.zeros(K, dtype=np.intp)
     exponent = np.zeros(K, dtype=np.intp)
-    for buf, c in _sweep(energies, v, 0.0, 1.0, _chunk_sites(energies, v)):
+    sign, flips = np.empty((C + 1, K), dtype=bool), np.empty((C, K), dtype=bool)
+    chunk_changes = np.empty(K, dtype=np.uint8)
+    for buf, c in _sweep(energies, v, 0.0, 1.0, C, _distinct(v, C)):
         # rows 1..c+1 hold x_start..x_{start+c}
-        sign = np.signbit(buf[1:c + 2])
-        changes += np.not_equal(sign[1:], sign[:-1]).view(np.uint8).sum(axis=0, dtype=np.intp)
+        s = np.signbit(buf[1:c + 2], out=sign[:c + 1])
+        np.not_equal(s[1:], s[:-1], out=flips[:c])
+        changes += np.add.reduce(flips[:c].view(np.uint8), axis=0, dtype=np.uint8, out=chunk_changes)
         # Rescale by a power of two: exact, and it keeps every sign.
         _, e = np.frexp(np.maximum(np.abs(buf[c]), np.abs(buf[c + 1])))
         np.ldexp(buf[c:c + 2], -e, out=buf[c:c + 2])
@@ -437,19 +476,19 @@ def growth_exponents(spec: ModelSpec, E: float, shift: int, L_max: int) -> Growt
         raise ValueError("growth_exponents requires L_max <= 10**300")
     dyadic = _dyadic(L_max)
     energy = np.array([E], dtype=float)
-    pairs = _window_product(spec, dyadic, shift, lambda v: _pair_sites(energy, v), _pair_mul)
+    pairs = _window_product(spec, dyadic, shift, lambda v: window._pair_sites(energy, v), window._pair_mul)
     # the scales along the last energy axis and the angles along the one before
     W = [[np.concatenate(x, axis=-1)[..., None, :] for x in zip(*half)] for half in zip(*pairs)]
     angles = np.pi * np.arange(_N_ANGLES) / _N_ANGLES
     s, c, zero = np.sin(angles)[:, None], np.cos(angles)[:, None], np.zeros((_N_ANGLES, 1))
     phi, none = np.array([[s, zero], [c, zero]]), np.zeros((2, 2, _N_ANGLES, 1))
-    M, G = _pair_mul(W, ((phi, none, zero), (none, none, zero)))
+    M, G = window._pair_mul(W, ((phi, none, zero), (none, none, zero)))
     # ln ||phi||_N and ln |phi(N + 1)| by angle and scale
-    log_norms = 0.5 * np.logaddexp(_dd_log(G), 2.0 * np.log(np.abs(c)))
+    log_norms = 0.5 * np.logaddexp(window._dd_log(G), 2.0 * np.log(np.abs(c)))
     big = np.log(_ESCAPE_MAGNITUDE)
     # the scales before the first where some angle's norm passes big
     kept = int(np.argmin(np.r_[(log_norms <= big).all(axis=0), False]))
-    escaped = kept < len(dyadic) or bool((_dd_log(M)[:, -1] > big).any())
+    escaped = kept < len(dyadic) or bool((window._dd_log(M)[:, -1] > big).any())
     if kept < 4:
         raise DegenerateFit("not enough dyadic scales before blow-up")
     lnL = np.log(np.asarray(dyadic[:kept], dtype=float))

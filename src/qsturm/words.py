@@ -223,6 +223,12 @@ class _ModelSpecFields(NamedTuple):
     allow_non_injective: bool
 
 
+# The largest |f(s)| a ModelSpec takes: at 1e300 every command still runs
+# without a numpy RuntimeWarning, while inf, nan and values near the largest
+# double overflow the energy window and the chunking of the Sturm counts.
+POTENTIAL_MAX = 1e300
+
+
 class ModelSpec(_ModelSpecFields):
     """Quasi-Sturmian model u = prefix . S(c_theta) with a potential map f."""
 
@@ -231,6 +237,10 @@ class ModelSpec(_ModelSpecFields):
     def __new__(cls, cf: ContinuedFraction, subst: Substitution, prefix: Word,
                 potential: Mapping[str, float], allow_non_injective: bool = False):
         potential = dict(potential)
+        for s, x in potential.items():
+            if not abs(x) <= POTENTIAL_MAX:
+                raise ValueError(f"potential value for symbol {s!r} must be finite and at most "
+                                 f"{POTENTIAL_MAX:g} in magnitude, got {x}")
         values = list(potential.values())
         if not allow_non_injective and len(set(values)) != len(values):
             raise ValueError("potential map must be injective (or set allow_non_injective)")

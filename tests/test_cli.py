@@ -484,7 +484,9 @@ RUN_LAYERS = ("import sys, types\n"
 
 def test_cli_import_leaves_scipy_unloaded():
     # qsturm depends on numpy alone: running every module loads no scipy.
-    code = (RUN_LAYERS + "import qsturm.cli\nfrom qsturm import *\n"
+    # from qsturm import * binds window unrun (no command module reads it at
+    # import), so one read of it runs its body too.
+    code = (RUN_LAYERS + "import qsturm.cli\nfrom qsturm import *\nwindow._dd_mul\n"
             "assert run_layers() >= {'errors', 'window'} | LAYERS, run_layers()\n"
             "assert 'scipy' not in sys.modules, 'scipy imported'\n")
     subprocess.run([sys.executable, "-c", code], env=_qsturm_env(), check=True)
@@ -555,6 +557,39 @@ def test_cli_import_constructs_no_dataclass():
                  argv=["--version"])
     # generate runs words, contfrac and errors only.
     assert _generate_q5(RUN_LAYERS, "assert run_layers() == {'cli', 'contfrac', 'errors', 'words'}, run_layers(); ")
+
+
+def test_spectral_commands_run_only_the_modules_they_call():
+    # bands reads neither tracemap (the classifier of stable_set) nor window
+    # (the double-double fallback of a half trace that overflows, which q5 at
+    # level 8 never does); gordon and tracemap multiply in double alone, and
+    # finite_eigenvalues needs the Sturm counts of transfer only.
+    q5 = str(BENCH_MODELS / "q5.json")
+    base = {"cli", "contfrac", "errors", "words", "transfer"}
+    for argv, layers in [(["bands", q5, "--level", "8"], base | {"spectrum"}),
+                         (["tracemap", q5, "--energy", "0.5"], base | {"tracemap"}),
+                         (["gordon", q5, "--energy", "0.1", "--nmax", "4"], base)]:
+        _generate_q5(RUN_LAYERS, f"assert run_layers() == {layers!r}, run_layers(); ", argv=argv)
+    code = (RUN_LAYERS + "import json\nfrom qsturm import ModelSpec, finite_eigenvalues\n"
+            f"spec = ModelSpec.from_json(json.load(open({q5!r})))\n"
+            "assert len(finite_eigenvalues(spec, 0, 300)) == 300\n"
+            "assert run_layers() == {'contfrac', 'errors', 'words', 'transfer', 'spectrum'}, run_layers()\n")
+    subprocess.run([sys.executable, "-c", code], env=_qsturm_env(), check=True)
+
+
+def test_nonfinite_potential_is_one_line(tmp_path, capsys):
+    # json reads Infinity and NaN; bands once failed in the Sturm chunking
+    # with a RuntimeWarning, and lyapunov ran on with warnings from window.
+    for value in ("Infinity", "NaN", "1e308"):
+        path = tmp_path / f"{value}.json"
+        path.write_text(json.dumps(FIB_MODEL).replace('"a": 2.0', f'"a": {value}'))
+        for argv in (["bands", str(path), "--level", "5"], ["lyapunov", str(path), "--grid", "3"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code, out, err = run(argv, capsys)
+            assert code == 1 and out == "", argv
+            assert len(err.splitlines()) == 1 and err.startswith("error: ValueError: potential value "
+                                                                  "for symbol 'a' must be finite"), err
 
 
 PUBLIC_NAMES = """

@@ -436,10 +436,11 @@ def test_lyapunov_window_matches_site_loop_after_long_prefix(L):
 def test_window_products_count_the_kernel_products(bench_specs, monkeypatch):
     # The CLI's factors metadata is the number of double-double products per
     # batch of energies, besides the one of the spectral norm.
+    # transfer reads window._dd_mul at call time, so patching window counts
+    # every product, of the window and of the spectral norm alike.
     products = []
     dd_mul = qsturm.window._dd_mul
-    for module in (qsturm.window, qsturm.transfer):
-        monkeypatch.setattr(module, "_dd_mul", lambda A, B: products.append(1) or dd_mul(A, B))
+    monkeypatch.setattr(qsturm.window, "_dd_mul", lambda A, B: products.append(1) or dd_mul(A, B))
     for model, L, shift in [("q5", 100_000, 0), ("digits", 16_421, 5), ("prefixed", 20_000, 1)]:
         spec = bench_specs[model]
         products.clear()
@@ -816,8 +817,7 @@ def test_growth_products_count_the_kernel_products(bench_specs, monkeypatch):
     # besides the one that reads every angle.
     products = []
     pair_mul = qsturm.window._pair_mul
-    for module in (qsturm.window, qsturm.transfer):
-        monkeypatch.setattr(module, "_pair_mul", lambda A, B: products.append(1) or pair_mul(A, B))
+    monkeypatch.setattr(qsturm.window, "_pair_mul", lambda A, B: products.append(1) or pair_mul(A, B))
     for model, L, shift in [("q5", 100_000, 0), ("digits", 16_421, 5), ("prefixed", 20_000, 1),
                             ("fibonacci", 1000, 0)]:
         spec = bench_specs[model]
@@ -925,3 +925,69 @@ def test_sturm_counts_large_potential_does_not_overflow(big):
     counts, log_det = sturm_counts(v, x)
     assert counts.tolist() == np.searchsorted(lam, x).tolist()
     assert np.all(np.isfinite(log_det))
+
+
+def _sturm_counts_scalar(v, energies, C=64):
+    """Oracle: the counts of sturm_counts from a scalar loop over energies
+    and sites with its arithmetic: (E - v_k) x_k - x_{k-1} in double, a
+    change wherever two sign bits differ, and the last two values rescaled
+    by the same power of two after every C sites."""
+    out = []
+    for E in energies.tolist():
+        prev, cur, changes = 0.0, 1.0, 0
+        for k, x in enumerate(v.tolist(), start=1):
+            prev, cur = cur, (E - x) * cur - prev
+            changes += math.copysign(1.0, prev) != math.copysign(1.0, cur)
+            if k % C == 0:
+                e = math.frexp(max(abs(prev), abs(cur)))[1]
+                prev, cur = math.ldexp(prev, -e), math.ldexp(cur, -e)
+        out.append(len(v) - changes)
+    return out
+
+
+def _diagonal(kind, n, spec):
+    """n diagonal values with 1, 2 or 3 distinct values, or all distinct."""
+    codes = np.random.default_rng(n).integers(0, 3, n)
+    return {"one": np.full(n, 0.5),
+            "two": spec.potential_values(qs_prefix(spec, n, shift=5)) if n else np.zeros(0),
+            "three": np.array([1.0, -0.5, 0.0])[codes],
+            "distinct": np.random.default_rng(n).permutation(np.linspace(-2.0, 2.0, n))}[kind]
+
+
+@pytest.mark.parametrize("kind", ["one", "two", "three", "distinct"])
+def test_sturm_counts_match_scalar_loop_exactly(kind, bench_specs):
+    # Lengths on both sides of the 64-site chunk edge. A word's diagonal takes
+    # one d row per value, one of more distinct values than a chunk has sites
+    # the chunk's own rows; both must give the scalar loop's counts exactly,
+    # also where E is a diagonal value and some x_k is an exact zero.
+    spec = bench_specs["fibonacci"]
+    energies = np.linspace(-3.0, 3.0, 2000)
+    energies[:4] = [0.5, -0.5, 0.0, -0.0]
+    for n in (0, 1, 63, 64, 65, 1000):
+        v = _diagonal(kind, n, spec)
+        assert len(set(v.tolist())) == {"one": min(n, 1), "two": min(n, 2), "three": min(n, 3)}.get(kind, n)
+        assert qsturm.transfer._chunk_sites(energies, v) == 64
+        assert (qsturm.transfer._distinct(v, 64) is None) == (kind == "distinct" and n > 64)
+        for E in (energies[:1], energies):
+            counts, _ = sturm_counts(v, E)
+            assert counts.tolist() == _sturm_counts_scalar(v, E), (n, len(E))
+    # At E = -0.0 the rows E - 0.0 and E - (-0.0) differ in sign, so the two
+    # values keep a row each.
+    assert len(qsturm.transfer._distinct(np.array([0.0, -0.0, 0.0]), 64)[0]) == 2
+
+
+@pytest.mark.parametrize("kind", ["two", "distinct"])
+def test_sturm_counts_peak_memory(kind, bench_specs):
+    # The chunk buffer of C + 2 rows, the per-value rows and the sign scratch
+    # stay within (2C + 2) K doubles, the chunk buffer and the C x K block of
+    # d rows that every chunk once wrote.
+    v = _diagonal(kind, 2000, bench_specs["fibonacci"])
+    energies = np.linspace(-3.0, 3.0, 2000)
+    C, K = 64, len(energies)
+    tracemalloc.start()
+    try:
+        sturm_counts(v, energies)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2 * C + 2) * K * 8, peak

@@ -289,6 +289,18 @@ def test_modelspec_injectivity_guard(fib_cf):
         ModelSpec(fib_cf, Substitution.identity(), Word.from_str("", ("a", "b")), {"a": 1.0})
 
 
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN", "1e308", "-1.01e300"])
+def test_modelspec_refuses_nonfinite_and_huge_potential(value):
+    # json reads Infinity and NaN as floats; past 1e300 the energy window and
+    # the Sturm chunking overflow, so the model is refused with its symbol.
+    d = json.loads('{"cf": {"coeffs": [1], "periodic": [1]}, "substitution": {"a": "a", "b": "b"}, '
+                   f'"potential": {{"a": 0.0, "b": {value}}}}}')
+    with pytest.raises(ValueError, match=r"^potential value for symbol 'b' must be finite"):
+        ModelSpec.from_json(d)
+    d["potential"]["b"] = 1e300
+    assert ModelSpec.from_json(d).potential == {"a": 0.0, "b": 1e300}
+
+
 def test_modelspec_json_roundtrip(q5_spec):
     back = ModelSpec.from_json(q5_spec.to_json())
     assert back.fingerprint() == q5_spec.fingerprint()
