@@ -578,8 +578,8 @@ def test_spectral_commands_run_only_the_modules_they_call():
 
 
 def test_nonfinite_potential_is_one_line(tmp_path, capsys):
-    # json reads Infinity and NaN; bands once failed in the Sturm chunking
-    # with a RuntimeWarning, and lyapunov ran on with warnings from window.
+    # json reads Infinity and NaN; unchecked, bands fails in the Sturm
+    # chunking after a RuntimeWarning and lyapunov runs on with warnings.
     for value in ("Infinity", "NaN", "1e308"):
         path = tmp_path / f"{value}.json"
         path.write_text(json.dumps(FIB_MODEL).replace('"a": 2.0', f'"a": {value}'))

@@ -291,8 +291,9 @@ def test_modelspec_injectivity_guard(fib_cf):
 
 @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN", "1e308", "-1.01e300"])
 def test_modelspec_refuses_nonfinite_and_huge_potential(value):
-    # json reads Infinity and NaN as floats; past 1e300 the energy window and
-    # the Sturm chunking overflow, so the model is refused with its symbol.
+    # json reads Infinity and NaN as floats, and near the largest double the
+    # energy window and the Sturm chunking overflow: every value past 1e300,
+    # where all commands still run without a RuntimeWarning, is refused.
     d = json.loads('{"cf": {"coeffs": [1], "periodic": [1]}, "substitution": {"a": "a", "b": "b"}, '
                    f'"potential": {{"a": 0.0, "b": {value}}}}}')
     with pytest.raises(ValueError, match=r"^potential value for symbol 'b' must be finite"):
