@@ -18,7 +18,7 @@ import numpy as np
 # the Sturm counts and the trace kernels do not.
 from . import window
 from .errors import DegenerateFit, OutOfRange, ZeroInitialCondition
-from .words import ModelSpec, Word, _images, level_words_prime, qs_prefix
+from .words import ModelSpec, Word, _images, _potential_table, _window_factors, level_words_prime, qs_prefix
 
 
 ENERGY_MARGIN = 0.5
@@ -46,7 +46,7 @@ def word_matrix(E: float, w: Word, f) -> np.ndarray:
     f is a mapping from alphabet labels to potential values (a dict or a
     ModelSpec potential).
     """
-    return _stack(_word_entries(np.array([E], dtype=float), [f[s] for s in w]))[0]
+    return _stack(_word_entries(np.array([E], dtype=float), _potential_table(f, w.alphabet)[w.codes]))[0]
 
 
 def level_matrices(spec: ModelSpec, E: float, n_max: int) -> List[np.ndarray]:
@@ -260,14 +260,15 @@ def _window_product(spec: ModelSpec, ends: List[int], shift: int, sites, mul) ->
     """The matrices of the windows u[shift:shift + N] for the increasing N in
     ends, from sites(v), the matrix of the sites with potential values v
     (or their pair, window._pair_sites), and mul(A, B) = A B: each is the
-    one before times the product of the factors (_window_factors) of the
-    piece between, with the level matrices of _levels built once up to the
-    highest level a factor names."""
-    pieces = [window._window_factors(spec, b - a, shift + a) for a, b in zip([0] + ends, ends)]
+    one before times the product of the factors (_window_factors, codes
+    looked up in one table of f) of the piece between, with the level
+    matrices of _levels built once up to the highest level a factor names."""
+    pieces = [_window_factors(spec, b - a, shift + a) for a, b in zip([0] + ends, ends)]
     top = max((f[0] for factors in pieces for f in factors if isinstance(f, tuple)), default=0)
     levels = _levels(spec, top, sites, mul)
+    table = _potential_table(spec.potential, spec.subst.target_alphabet)
     products = (window._fold(mul, (_power(levels[f[0] + 1], f[1], mul) if isinstance(f, tuple)
-                                   else sites(f) for f in factors)) for factors in pieces)
+                                   else sites(table[f]) for f in factors)) for factors in pieces)
     return list(accumulate(products, lambda P, M: mul(M, P)))
 
 

@@ -1,6 +1,8 @@
-"""Long windows of u = prefix . S(c_theta) as Ostrowski level factors, and
-the double-double 2x2 products that multiply them, for
-transfer.lyapunov_many and transfer.growth_exponents.
+"""The double-double 2x2 products that multiply the Ostrowski level factors
+of long windows (words._window_factors) for transfer.lyapunov_many and
+transfer.growth_exponents, and the half traces that overflow double in
+spectrum.periodic_bands. It imports nothing from the package and is a module
+of its own because only those three run it: no other command compiles it.
 
 A double-double matrix is (hi, lo, e): entry arrays hi and lo of shape
 (2, 2) + K, K the energy axes, whose sums carry about 106 bits (Dekker 1971; Knuth, TAOCP 2,
@@ -8,10 +10,6 @@ A double-double matrix is (hi, lo, e): entry arrays hi and lo of shape
 rounds, where an int64 would wrap), so that the largest |hi| of each energy
 lies in [0.5, 1). numpy has no fused multiply-add, so products are split
 (Dekker); the scaling is exact.
-
-This is a module of its own so that no module is long: every CLI call
-compiles the package, and the longest module's compile sets a floor under
-every call's peak memory.
 """
 
 from __future__ import annotations
@@ -19,8 +17,6 @@ from __future__ import annotations
 from functools import reduce
 
 import numpy as np
-
-from .words import ModelSpec, _images, _ostrowski_digits
 
 _SPLIT = 134217729.0  # 2^27 + 1
 
@@ -132,56 +128,3 @@ def _dd_log(M) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return np.log(np.abs(hi[0, 0] + lo[0, 0])) + e * np.log(2.0)
 
-
-def _window_factors(spec: ModelSpec, L: int, shift: int):
-    """The window u[shift:shift+L] of u = prefix . S(c_theta) as factors in
-    word order, each an array of potential values or a pair (j, m) for s'_j^m.
-
-    Its part in S(c_theta) ends in the image of c_theta[N], for the largest N
-    with |S(c_theta[:N])| at most that end, and S(c_theta[:N]) =
-    s'_k^{b_k} ... s'_0^{b_0} over N's Ostrowski digits. The copies of s'_j
-    before the window start are dropped, and the one it falls in gives a
-    suffix, which s'_j = s'_{j-1}^{a_j} s'_{j-2} splits into level factors
-    (Damanik, Killip and Lenz, CMP 212 (2000), tile Sturmian windows so).
-    Only the prefix and two partial images are left site by site. No word
-    is built, so the length budget of words does not bound L or shift.
-    """
-    if shift < 0:
-        raise ValueError("shift must be >= 0")
-    end = shift + L
-    prefix = spec.potential_values(spec.prefix.recode(spec.subst.target_alphabet))
-    images = [spec.potential_values(w) for w in _images(spec)]
-    factors = [prefix[shift:end]] if shift < len(prefix) else []
-    lo, hi = max(shift - len(prefix), 0), end - len(prefix)
-    if hi <= 0:
-        return factors
-    digits, q = _ostrowski_digits(spec.cf, hi, [len(v) for v in images])  # q[j + 1] = |s'_j|
-
-    def suffix(j, r):
-        """Factors of the last r symbols of s'_j, 0 < r <= |s'_j|, found last
-        first by a loop: a window may span more levels than Python recurses."""
-        rev = []
-        while r and r != q[j + 1] and j >= 1:
-            if r <= q[j - 1]:
-                j -= 2
-            else:
-                m, r = divmod(r - q[j - 1], q[j])
-                rev += [(j - 2, 1)] + ([(j - 1, m)] if m else [])
-                j -= 1
-        if r:
-            rev.append((j, 1) if r == q[j + 1] else images[j + 1][-r:])
-        return rev[::-1]
-
-    pos = 0
-    for j in range(len(digits) - 1, -1, -1):
-        start, pos = pos, pos + digits[j] * q[j + 1]
-        if pos > lo:
-            m, r = divmod(pos - max(start, lo), q[j + 1])
-            factors += (suffix(j, r) if r else []) + ([(j, m)] if m else [])
-    if pos < hi:
-        # c_theta[N] ends c_theta[:N + 1], so it ends that prefix's lowest
-        # block s_j: a for odd j, b for even j
-        N = sum(b * n for b, n in zip(digits, _ostrowski_digits(spec.cf, hi)[1][1:]))
-        low = next(j for j, b in enumerate(_ostrowski_digits(spec.cf, N + 1)[0]) if b)
-        factors.append(images[1 - low % 2][max(lo - pos, 0):hi - pos])
-    return factors

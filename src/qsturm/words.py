@@ -223,6 +223,14 @@ class _ModelSpecFields(NamedTuple):
     allow_non_injective: bool
 
 
+def _potential_table(f: Mapping[str, float], alphabet: Sequence[str]) -> np.ndarray:
+    """f over an alphabet, indexed by symbol code."""
+    try:
+        return np.array([f[s] for s in alphabet], dtype=float)
+    except KeyError as e:
+        raise SymbolOutsideDomain(f"symbol {e.args[0]!r} outside potential domain") from None
+
+
 # The largest |f(s)| a ModelSpec takes: at 1e300 every command still runs
 # without a numpy RuntimeWarning, while inf, nan and values near the largest
 # double overflow the energy window and the chunking of the Sturm counts.
@@ -251,11 +259,7 @@ class ModelSpec(_ModelSpecFields):
 
     def potential_values(self, w: Word) -> np.ndarray:
         """f applied symbol-wise; energy units."""
-        try:
-            table = np.array([self.potential[s] for s in w.alphabet], dtype=float)
-        except KeyError as e:
-            raise SymbolOutsideDomain(f"symbol {e.args[0]!r} outside potential domain") from None
-        return table[w.codes]
+        return _potential_table(self.potential, w.alphabet)[w.codes]
 
     def fingerprint(self) -> str:
         blob = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
@@ -387,22 +391,74 @@ def level_words_prime(spec: ModelSpec, n_max: int) -> List[Word]:
     return list(itertools.islice(_sturmian_words(spec.cf, *_images(spec)), n_max + 2))
 
 
+def _window_factors(spec: ModelSpec, L: int, shift: int):
+    """The window u[shift:shift+L] of u = prefix . S(c_theta) as factors in
+    word order, each a code array over the target alphabet or a pair (j, m)
+    for s'_j^m. No word is built, so neither L nor shift is bounded here.
+
+    Its part in S(c_theta) ends in the image of c_theta[N], for the largest N
+    with |S(c_theta[:N])| at most that end, and S(c_theta[:N]) =
+    s'_k^{b_k} ... s'_0^{b_0} over N's Ostrowski digits. The copies of s'_j
+    before the window start are dropped, and the one it falls in gives a
+    suffix, which s'_j = s'_{j-1}^{a_j} s'_{j-2} splits into level factors
+    (Damanik, Killip and Lenz, CMP 212 (2000), tile Sturmian windows so).
+    Only the prefix and two partial images are left as code arrays.
+    """
+    if shift < 0:
+        raise ValueError("shift must be >= 0")
+    prefix = spec.prefix.recode(spec.subst.target_alphabet).codes
+    images = [w.codes for w in _images(spec)]
+    factors = [prefix[shift:shift + L]] if shift < len(prefix) else []
+    lo, hi = max(shift - len(prefix), 0), shift + L - len(prefix)
+    if hi <= 0:
+        return factors
+    digits, q = _ostrowski_digits(spec.cf, hi, [len(v) for v in images])  # q[j + 1] = |s'_j|
+
+    def suffix(j, r):
+        """Factors of the last r symbols of s'_j, 0 < r <= |s'_j|, found last
+        first by a loop: a window may span more levels than Python recurses."""
+        rev = []
+        while r and r != q[j + 1] and j >= 1:
+            if r <= q[j - 1]:
+                j -= 2
+            else:
+                m, r = divmod(r - q[j - 1], q[j])
+                rev += [(j - 2, 1)] + ([(j - 1, m)] if m else [])
+                j -= 1
+        if r:
+            rev.append((j, 1) if r == q[j + 1] else images[j + 1][-r:])
+        return rev[::-1]
+
+    pos = 0
+    for j in range(len(digits) - 1, -1, -1):
+        start, pos = pos, pos + digits[j] * q[j + 1]
+        if pos > lo:
+            m, r = divmod(pos - max(start, lo), q[j + 1])
+            factors += (suffix(j, r) if r else []) + ([(j, m)] if m else [])
+    if pos < hi:
+        # c_theta[N] ends c_theta[:N + 1], so it ends that prefix's lowest
+        # block s_j: a for odd j, b for even j
+        N = sum(b * n for b, n in zip(digits, _ostrowski_digits(spec.cf, hi)[1][1:]))
+        low = next(j for j, b in enumerate(_ostrowski_digits(spec.cf, N + 1)[0]) if b)
+        factors.append(images[1 - low % 2][max(lo - pos, 0):hi - pos])
+    return factors
+
+
 def qs_prefix(spec: ModelSpec, length: int, shift: int = 0) -> Word:
-    """Symbols shift..shift+length-1 of u = prefix . S(c_theta), a built
-    word, so its end must fit the length budget."""
+    """Symbols shift..shift+length-1 of u = prefix . S(c_theta): the window's
+    factors (_window_factors) joined, with m copies of s'_j for each (j, m),
+    so the length budget bounds the window's length and any shift is taken."""
     if length < 1:
         raise ValueError("length must be >= 1")
     if shift < 0:
         raise ValueError("shift must be >= 0")
-    need = shift + length
-    if need > DEFAULT_LENGTH_BUDGET:
-        raise LengthBudgetExceeded(f"window end {need} exceeds budget {DEFAULT_LENGTH_BUDGET}")
-    # each base symbol yields at least ell_min symbols, so u reaches need
-    ell_min = min(len(img) for img in spec.subst.images.values())
-    base_need = max(1, -(-max(1, need - len(spec.prefix)) // ell_min))
-    base = characteristic_prefix(spec.cf, base_need)
-    u = spec.prefix.recode(spec.subst.target_alphabet) + substitute(spec.subst, base)
-    return u[shift:need]
+    if length > DEFAULT_LENGTH_BUDGET:
+        raise LengthBudgetExceeded(f"window length {length} exceeds budget {DEFAULT_LENGTH_BUDGET}")
+    factors = _window_factors(spec, length, shift)
+    n_levels = max((f[0] + 2 for f in factors if isinstance(f, tuple)), default=1)
+    levels = list(itertools.islice(_sturmian_words(spec.cf, *_images(spec)), n_levels))
+    return Word(np.concatenate([np.tile(levels[f[0] + 1].codes, f[1]) if isinstance(f, tuple) else f
+                                for f in factors]), spec.subst.target_alphabet)
 
 
 # ---------------------------------------------------------------------------

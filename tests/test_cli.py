@@ -367,10 +367,22 @@ def test_transfer_commands_take_hull_scale_windows(capsys):
     ["decompose", "--length", "2", "--shift", "49999999"],
 ], ids=["generate", "generate-shift", "complexity", "decompose"])
 def test_word_building_commands_keep_the_length_budget(fib_path, argv, capsys):
-    # One symbol past the budget, refused before any word is built.
+    # The budget bounds a window's length: one symbol past it is refused
+    # before any word is built, while a window past its end is built.
     code, out, err = run([argv[0], fib_path, *argv[1:]], capsys)
-    assert (code, out) == (1, "")
-    assert err == "error: LengthBudgetExceeded: window end 50000001 exceeds budget 50000000\n"
+    if "--shift" not in argv:
+        assert (code, out) == (1, "")
+        assert err == "error: LengthBudgetExceeded: window length 50000001 exceeds budget 50000000\n"
+    elif argv[0] == "generate":
+        # c_theta[n], n = 5*10^7, from the convergent p/q = F_40/F_41 of the
+        # golden mean: a where floor((n + 2) p/q) - floor((n + 1) p/q) is 1
+        p, q, n = 102334155, 165580141, 50_000_000
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-2:] == ["sequence", "ab"[((n + 1) * p) // q - ((n + 2) * p) // q + 1]]
+    else:
+        # the two symbols are built and reach the decomposition, which needs more
+        assert (code, out) == (1, "")
+        assert err == "error: InconclusiveWindow: word of length 2 too short to classify\n"
 
 
 def test_gordon_rows(fib_path, capsys):

@@ -17,7 +17,7 @@ import qsturm.transfer
 import qsturm.window
 from qsturm.cli import main
 from qsturm.contfrac import approximants
-from qsturm.errors import DegenerateFit, OutOfRange, ZeroInitialCondition
+from qsturm.errors import DegenerateFit, OutOfRange, SymbolOutsideDomain, ZeroInitialCondition
 from qsturm.spectrum import energy_window
 from qsturm.tracemap import orbit_trace
 from qsturm.transfer import (
@@ -42,8 +42,17 @@ from qsturm.transfer import (
     sturm_counts,
     word_matrix,
 )
-from qsturm.window import _dd_mul, _dd_sites, _window_factors
-from qsturm.words import ModelSpec, Word, find_squares, level_words_prime, qs_prefix
+from qsturm.window import _dd_mul, _dd_sites
+from qsturm.words import (
+    ModelSpec,
+    Word,
+    _window_factors,
+    characteristic_prefix,
+    find_squares,
+    level_words_prime,
+    qs_prefix,
+    substitute,
+)
 
 BENCH_MODELS = Path(__file__).resolve().parents[1] / "perfbench" / "models"
 # The approximant levels of the benchmark's `bands` ops, one per model.
@@ -75,6 +84,18 @@ def test_word_matrix_concatenation():
     u, v = Word.from_str("abba"), Word.from_str("bab")
     assert word_matrix(E, u + v, f) == pytest.approx(
         word_matrix(E, v, f) @ word_matrix(E, u, f))
+
+
+def test_word_matrix_refuses_symbols_outside_the_potential(fib_spec):
+    # A symbol that f does not map is refused as ModelSpec.potential_values
+    # refuses it, not with a raw KeyError.
+    w = Word.from_str("abc")
+    for call in (lambda: word_matrix(0.5, w, {"a": 1.0, "b": 0.0}), lambda: fib_spec.potential_values(w)):
+        with pytest.raises(SymbolOutsideDomain, match=r"^symbol 'c' outside potential domain$"):
+            call()
+    # the matrix of a word over a larger f is the product of its sites
+    expected = local_matrix(0.5, 3.0) @ local_matrix(0.5, 0.0) @ local_matrix(0.5, 1.0)
+    assert word_matrix(0.5, w, {"a": 1.0, "b": 0.0, "c": 3.0, "d": 9.0}) == pytest.approx(expected)
 
 
 def test_level_matrix_recursion(fib_spec):
@@ -392,15 +413,17 @@ def _window_specs(bench_specs):
        L=st.integers(min_value=1, max_value=3000), shift=st.integers(min_value=0, max_value=3000))
 @settings(max_examples=200, deadline=None)
 def test_window_factors_spell_the_window(bench_specs, model, L, shift):
-    # Expanded symbol by symbol, the factors are the window of u: site
-    # arrays as they are, (j, m) as m copies of s'_j.
+    # Expanded symbol by symbol, the factors are the window of u: code
+    # arrays as they are, (j, m) as m copies of s'_j. The oracle builds u
+    # as prefix . S(c_theta[:6001]), at least 6,001 symbols, by substitution.
     spec = _window_specs(bench_specs)[model]
     factors = _window_factors(spec, L, shift)
     n = next(n for n in range(1, 40) if len(level_words_prime(spec, n)[-1]) > 6000)
-    levels = [spec.potential_values(w) for w in level_words_prime(spec, n)]
+    levels = [w.codes for w in level_words_prime(spec, n)]
     got = np.concatenate([np.tile(levels[f[0] + 1], f[1]) if isinstance(f, tuple) else f
                           for f in factors])
-    assert got.tolist() == spec.potential_values(qs_prefix(spec, L, shift=shift)).tolist()
+    u = spec.prefix.recode(spec.subst.target_alphabet) + substitute(spec.subst, characteristic_prefix(spec.cf, 6001))
+    assert got.tolist() == u.codes[shift:shift + L].tolist()
 
 
 @pytest.mark.parametrize("model", ["prefixed", *CAPPED_MODELS])

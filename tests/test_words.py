@@ -116,9 +116,7 @@ def test_prefix_budget_fails_before_allocating(fib_cf, fib_spec):
     over = DEFAULT_LENGTH_BUDGET + 1
     calls = [(lambda: characteristic_prefix(fib_cf, over),
               f"requested length {over} exceeds budget {DEFAULT_LENGTH_BUDGET}"),
-             (lambda: qs_prefix(fib_spec, over), f"window end {over} exceeds budget {DEFAULT_LENGTH_BUDGET}"),
-             (lambda: qs_prefix(fib_spec, 1, shift=DEFAULT_LENGTH_BUDGET),
-              f"window end {over} exceeds budget {DEFAULT_LENGTH_BUDGET}")]
+             (lambda: qs_prefix(fib_spec, over), f"window length {over} exceeds budget {DEFAULT_LENGTH_BUDGET}")]
     for call, message in calls:
         tracemalloc.start()
         try:
@@ -128,6 +126,23 @@ def test_prefix_budget_fails_before_allocating(fib_cf, fib_spec):
         finally:
             tracemalloc.stop()
         assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize("model", BENCH)
+def test_prefix_at_huge_shift_takes_memory_of_its_length(bench_specs, model):
+    # The budget bounds the window's length only: 10^4 symbols from shift
+    # 10^15 are joined from level factors no longer than the window (about
+    # 10-19 bytes per symbol), where building u up to the window's end
+    # would take petabytes.
+    spec = bench_specs[model]
+    tracemalloc.start()
+    try:
+        word = qs_prefix(spec, 10**4, shift=10**15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(word) == 10**4
+    assert peak < 40 * 10**4, peak
 
 
 def test_sturmian_levels_refuses_overflowing_level():
@@ -271,6 +286,48 @@ def test_qs_prefix_shift(fib_spec):
     u = qs_prefix(fib_spec, 50)
     v = qs_prefix(fib_spec, 40, shift=10)
     assert u[10:50] == v
+
+
+def _characteristic_symbols(cf, start, length):
+    """Oracle: c_theta[start:start + length] in exact integers, from the
+    characteristic word of a convergent p/q with q > start + length + 1,
+    whose symbol n < q - 2 is a where floor((n + 2) p/q) - floor((n + 1) p/q)
+    is 1 and b where it is 0."""
+    k = next(k for k in range(1, 200) if approximants(cf, k)[1] > start + length + 1)
+    p, q = approximants(cf, k)
+    return "".join("ab"[((n + 1) * p) // q - ((n + 2) * p) // q + 1] for n in range(start, start + length))
+
+
+@pytest.mark.parametrize("coeffs,periodic", [((), (1,)), ((3, 1, 4, 1, 5, 9, 2, 6), (1,)), ((1, 1000), (2, 999)),
+                                             ((7,), (1, 3))], ids=["fibonacci", "digits", "a2_is_1000", "a1_is_7"])
+@pytest.mark.parametrize("shift", [10**9, 10**9 + 7, 10**12 - 1, 10**12 + 12345, 10**15 - 2000, 10**15])
+def test_sturmian_window_at_huge_shift_matches_integer_oracle(coeffs, periodic, shift):
+    # With S the identity and no prefix, u = c_theta: its window far past
+    # the length budget's end matches the exact characteristic word.
+    cf = ContinuedFraction(coeffs, periodic)
+    spec = ModelSpec(cf, Substitution.identity(), Word.from_str("", ("a", "b")), {"a": 1.0, "b": 0.0})
+    assert qs_prefix(spec, 2000, shift=shift).to_str() == _characteristic_symbols(cf, shift, 2000)
+
+
+# A substitution model with |S(a)| > |S(b)|, a transient prefix and a
+# three-letter model with a_1 = 7, besides the benchmark's q5 and prefixed.
+COMPOSE_MODELS = {
+    "long_a": {"cf": {"coeffs": [3, 2, 1], "periodic": [2, 1]}, "substitution": {"a": "0110", "b": "1"},
+               "prefix": "10110", "potential": {"0": 0.0, "1": 1.0}},
+    "a1_is_7": {"cf": {"coeffs": [7, 2, 3], "periodic": [1, 2]}, "substitution": {"a": "xyz", "b": "zy"},
+                "prefix": "x", "potential": {"x": 0.0, "y": 1.0, "z": 2.0}},
+}
+
+
+@given(model=st.sampled_from(["q5", "prefixed", *COMPOSE_MODELS]), shift=st.integers(0, 10**15),
+       L1=st.integers(1, 3000), L2=st.integers(1, 3000))
+@settings(max_examples=80, deadline=None)
+def test_qs_prefix_windows_compose(bench_specs, model, shift, L1, L2):
+    # u[s:s+L1+L2] = u[s:s+L1] u[s+L1:s+L1+L2]: three windows tiled apart
+    # by their own Ostrowski digits spell the same word.
+    spec = bench_specs[model] if model in bench_specs else ModelSpec.from_json(COMPOSE_MODELS[model])
+    whole = qs_prefix(spec, L1 + L2, shift=shift)
+    _assert_same_word(whole, qs_prefix(spec, L1, shift=shift) + qs_prefix(spec, L2, shift=shift + L1))
 
 
 def test_qs_prefix_with_head(prefix_spec):
