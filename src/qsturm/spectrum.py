@@ -1,8 +1,8 @@
 """Spectrum approximation: periodic-approximant band spectra, stable-set
 sweeps via trace-map classification, measure statistics, and the
 eigenvalues of finite tridiagonal truncations. Bands and eigenvalues are
-both bracketed by Sturm counts (Barth, Martin and Wilkinson 1967) on the
-transfer lane kernel, numpy only.
+both bracketed by Sturm counts (Barth, Martin and Wilkinson 1967), one
+lane per energy (transfer.sturm_counts), numpy only.
 """
 
 from __future__ import annotations
@@ -80,6 +80,8 @@ def periodic_bands(spec: ModelSpec, n: int, tol: float = 1e-10) -> BandList:
         raise ValueError("n must be >= 1")
     if not tol > 0:
         raise ValueError("tol must be > 0")
+    if not np.isfinite(tol):
+        raise ValueError("tol must be finite")
     a, b = _images(spec)
     p = next(itertools.islice(_sturmian_words(spec.cf, len(a), len(b)), n + 1, None))
     if p * p > DEFAULT_LENGTH_BUDGET:
@@ -219,6 +221,10 @@ def tridiagonal_eigenvalues(diag: np.ndarray) -> np.ndarray:
     """
     v = np.asarray(diag, dtype=float)
     n = len(v)
+    if not n:
+        return np.empty(0)
+    if not np.isfinite(v).all():
+        raise ValueError("diag must be finite")
     lo_w = float(v.min()) - 2.0 - ENERGY_MARGIN
     hi_w = float(v.max()) + 2.0 + ENERGY_MARGIN
     tol = (hi_w - lo_w) * _EIGEN_RTOL

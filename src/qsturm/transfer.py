@@ -10,7 +10,7 @@ a word first (rightmost factor in the product).
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -146,8 +146,8 @@ def _trace_step(a: int, x, y, z):
     return y, z * u1 - x * u2, z * (y2 * u1 - u2) - x * u1
 
 
-# Energies per batch of the grid kernels (half_traces_many,
-# initial_triple_many, tracemap.classify_many): the per-energy temporaries
+# Energies per batch of the grid kernels (half_traces_many, lyapunov_many,
+# tracemap.classify_many, spectrum.stable_set): the per-energy temporaries
 # of an orbit step are held for one batch at a time, so the working set
 # does not grow with the grid. Chosen by measurement; see CHANGES.md.
 _BATCH = 8192
@@ -161,12 +161,8 @@ def _batches(energies: np.ndarray) -> List[slice]:
 def initial_triple_many(spec: ModelSpec, energies: np.ndarray
                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     energies = np.asarray(energies, dtype=float)
-    out = np.empty((3, len(energies)))
-    for s in _batches(energies):
-        _, m0, m1 = _levels(spec, 1, lambda v: _word_entries(energies[s], v), _mul)
-        for row, m in zip(out, (m0, m1, _mul(m1, m0))):
-            np.multiply(0.5, m[0] + m[3], out=row[s])
-    return out[0], out[1], out[2]
+    _, m0, m1 = _levels(spec, 1, lambda v: _word_entries(energies, v), _mul)
+    return tuple(0.5 * (m[0] + m[3]) for m in (m0, m1, _mul(m1, m0)))
 
 
 def half_traces_many(spec: ModelSpec, energies: np.ndarray, n: int) -> np.ndarray:
@@ -190,7 +186,7 @@ def half_traces_many(spec: ModelSpec, energies: np.ndarray, n: int) -> np.ndarra
 _RENORM_EVERY = 64
 
 def _chunk_sites(energies: np.ndarray, v: np.ndarray) -> int:
-    """Sites per chunk of the lane kernel: _RENORM_EVERY, or fewer where a
+    """Sites per chunk of sturm_counts: _RENORM_EVERY, or fewer where a
     large potential could overflow a chunk.
 
     Each site grows max(|x_k|, |x_{k-1}|) by at most 1 + |E - v_k|, and
@@ -215,45 +211,6 @@ def _distinct(v: np.ndarray, C: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     codes = np.empty(len(v), dtype=np.intp)
     codes[order] = np.cumsum(new) - 1
     return v[order[new]], codes
-
-
-def _sweep(lanes: np.ndarray, v: np.ndarray, x_prev, x0, C: int, distinct=None
-           ) -> Iterator[Tuple[np.ndarray, int]]:
-    """Three-term recursion x_{k+1} = (lane - v_k) x_k - x_{k-1} on lanes, C
-    sites at a time.
-
-    Rows 0 and 1 of a (C + 2, lanes) buffer start as x_prev and x0, and for
-    each chunk of c sites row k + 2 receives x_{k+1}: two in-place ufunc
-    calls per site, d * x_k into it, then x_{k-1} off it, with d = lane -
-    v_k from a row of its own. With distinct = (values, codes) from
-    _distinct, that row is lane - values[i], built once for each distinct
-    value and read by every site of code i, so a few rows stay in cache;
-    otherwise each chunk first writes lane - v_k into row k + 2 itself. The
-    doubles are the same either way. Yields (buf, c) after each chunk; on
-    resume rows c and c + 1 carry into rows 0 and 1, so a caller may
-    rescale them in place first. An empty v yields one chunk of no sites, so
-    a caller always sees the buffer.
-    """
-    buf = np.empty((C + 2,) + lanes.shape)
-    buf[0], buf[1] = x_prev, x0
-    rows = list(buf)
-    steps = list(zip(rows, rows[1:], rows[2:]))
-    if distinct is not None:
-        values, codes = distinct
-        value_rows = list(np.subtract(lanes, values[:, None]))
-    mul, sub = np.multiply, np.subtract
-    for start in range(0, len(v) or 1, C):
-        c = min(C, len(v) - start)
-        if distinct is None:
-            np.subtract(lanes, v[start:start + c, None], out=buf[2:c + 2])
-            d = rows[2:c + 2]
-        else:
-            d = map(value_rows.__getitem__, codes[start:start + c].tolist())
-        for dk, (prev, cur, nxt) in zip(d, steps):
-            mul(dk, cur, out=nxt)
-            sub(nxt, prev, out=nxt)
-        yield buf, c
-        buf[:2] = buf[c:c + 2]
 
 
 def _window_product(spec: ModelSpec, ends: List[int], shift: int, sites, mul) -> list:
@@ -328,27 +285,53 @@ def sturm_counts(diag: np.ndarray, energies: np.ndarray) -> Tuple[np.ndarray, np
     change whichever sign it takes, and sign(x_n) is that parity, so the
     count and the sign of det(E - T) always agree.
 
-    A diagonal of at most C distinct values (a word's potential) takes one
-    d row per value, and any other the chunk's own rows (_sweep). A chunk's
-    sign changes are summed in uint8, which its C <= 64 sites cannot
-    overflow, and then added to the count.
+    The lanes run C sites at a time: rows 0 and 1 of a (C + 2, K) buffer
+    hold x_{k-1} and x_k at a chunk's start, and row j + 2 receives
+    x_{k+j+1}, d * x into it and then x_{k+j} off it. A diagonal of at most
+    C distinct values (a word's potential; _distinct) reads d = E - v from
+    one row per value, so a few rows stay in cache, and any other from the
+    chunk's own rows; the doubles are the same. A chunk's sign changes are
+    summed in uint8, which its C <= 64 sites cannot overflow; its last two
+    rows, rescaled by a power of two (exact, sign-keeping), carry into rows
+    0 and 1.
     """
     v = np.asarray(diag, dtype=float)
     energies = np.asarray(energies, dtype=float)
+    if np.isnan(v).any():
+        raise ValueError("diag must not contain NaN")
+    if np.isnan(energies).any():
+        raise ValueError("energies must not contain NaN")
     K = len(energies)
     C = _chunk_sites(energies, v)
+    distinct = _distinct(v, C)
     changes = np.zeros(K, dtype=np.intp)
     exponent = np.zeros(K, dtype=np.intp)
     sign, flips = np.empty((C + 1, K), dtype=bool), np.empty((C, K), dtype=bool)
     chunk_changes = np.empty(K, dtype=np.uint8)
-    for buf, c in _sweep(energies, v, 0.0, 1.0, C, _distinct(v, C)):
+    buf = np.empty((C + 2, K))
+    buf[0], buf[1] = 0.0, 1.0
+    rows = list(buf)
+    steps = list(zip(rows, rows[1:], rows[2:]))
+    if distinct is not None:
+        values, codes = distinct
+        value_rows = list(np.subtract(energies, values[:, None]))
+    mul, sub = np.multiply, np.subtract
+    for start in range(0, len(v), C):
+        c = min(C, len(v) - start)
+        if distinct is None:
+            np.subtract(energies, v[start:start + c, None], out=buf[2:c + 2])
+            d = rows[2:c + 2]
+        else:
+            d = map(value_rows.__getitem__, codes[start:start + c].tolist())
+        for dk, (prev, cur, nxt) in zip(d, steps):
+            mul(dk, cur, out=nxt)
+            sub(nxt, prev, out=nxt)
         # rows 1..c+1 hold x_start..x_{start+c}
         s = np.signbit(buf[1:c + 2], out=sign[:c + 1])
         np.not_equal(s[1:], s[:-1], out=flips[:c])
         changes += np.add.reduce(flips[:c].view(np.uint8), axis=0, dtype=np.uint8, out=chunk_changes)
-        # Rescale by a power of two: exact, and it keeps every sign.
         _, e = np.frexp(np.maximum(np.abs(buf[c]), np.abs(buf[c + 1])))
-        np.ldexp(buf[c:c + 2], -e, out=buf[c:c + 2])
+        np.ldexp(buf[c:c + 2], -e, out=buf[:2])
         exponent += e
     with np.errstate(divide="ignore"):
         log_det = np.log(np.abs(buf[1])) + exponent * np.log(2.0)
@@ -371,22 +354,22 @@ def solve(spec: ModelSpec, E: float, shift: int, phi0: float, phi1: float, L: in
     """Forward three-term recursion with V(n) = f(u(shift + n - 1)), n = 1..L."""
     if phi0 == 0.0 and phi1 == 0.0:
         raise ZeroInitialCondition("initial condition must be nonzero")
-    v = spec.potential_values(qs_prefix(spec, L, shift=shift))
-    phi = np.empty(L + 2)
-    phi[:2] = phi0, phi1
-    # Off the spectrum phi may overflow; it is returned as computed.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n, (buf, c) in zip(range(2, L + 2, _RENORM_EVERY),
-                               _sweep(np.array([E], dtype=float), v, phi0, phi1, _RENORM_EVERY)):
-            phi[n:n + c] = buf[2:c + 2, 0]
+    prev, cur = float(phi0), float(phi1)
+    phi = [prev, cur]
+    # Python floats: the same IEEE operations as a float64 array, without
+    # its per-site call overhead. Off the spectrum phi may overflow to inf
+    # or nan; it is returned as computed.
+    for d in (E - spec.potential_values(qs_prefix(spec, L, shift=shift))).tolist():
+        prev, cur = cur, d * cur - prev
+        phi.append(cur)
     normalized = abs(phi0 * phi0 + phi1 * phi1 - 1.0) < 1e-12
-    return SolutionSegment(phi, E, shift, normalized)
+    return SolutionSegment(np.array(phi, dtype=float), E, shift, normalized)
 
 
 def local_norm(seg: SolutionSegment, L: float) -> float:
     """sqrt( sum_{n<=floor(L)} phi(n)^2 + (L - floor(L)) phi(floor(L)+1)^2 )."""
     phi = seg.values
-    if L < 0 or L > len(phi) - 2:
+    if not 0 <= L <= len(phi) - 2:
         raise OutOfRange(f"L = {L} outside [0, {len(phi) - 2}]")
     k = int(np.floor(L))
     total = float(np.sum(phi[: k + 1] ** 2)) + (L - k) * float(phi[k + 1] ** 2)

@@ -148,6 +148,9 @@ def test_bad_arguments(fib_spec):
     for tol in (-1.0, 0.0, math.nan):
         with pytest.raises(ValueError, match=r"^tol must be > 0$"):
             periodic_bands(fib_spec, 3, tol=tol)
+    # an infinite tol would end every bracket at once, as p touching intervals
+    with pytest.raises(ValueError, match=r"^tol must be finite$"):
+        periodic_bands(fib_spec, 3, tol=math.inf)
     with pytest.raises(ValueError):
         measure_report(fib_spec, [])
 
@@ -310,6 +313,15 @@ def test_tridiagonal_eigenvalues_two_by_two_closed_form():
         # half of 2^-40 times the search window, of width |a - b| + 5
         tol = 2.0 ** -41 * (abs(a - b) + 5.0) + 1e-14
         assert tridiagonal_eigenvalues(np.array([a, b])) == pytest.approx(want, abs=tol)
+
+
+def test_tridiagonal_eigenvalues_empty_and_non_finite():
+    # A 0 x 0 matrix has no eigenvalues; a NaN or infinite entry is refused
+    # by name, not by a numpy reduction or NaN-to-int error further in.
+    assert tridiagonal_eigenvalues(np.array([])).shape == (0,)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"^diag must be finite$"):
+            tridiagonal_eigenvalues(np.array([0.5, bad]))
 
 
 @pytest.mark.parametrize("barrier", [4, 8, 12, 16, 30])

@@ -648,8 +648,9 @@ def test_local_norm_interpolates(fib_spec):
     mid = local_norm(seg, 5.5)
     assert min(n5, n6) <= mid <= max(n5, n6) + 1e-12
     assert local_norm(seg, 0.0) == pytest.approx(abs(seg.values[0]))
-    with pytest.raises(OutOfRange):
-        local_norm(seg, 100.0)
+    for L in (100.0, -1.0, math.nan):
+        with pytest.raises(OutOfRange):
+            local_norm(seg, L)
 
 
 # --------------------------------------------------------------------- Gordon
@@ -922,6 +923,10 @@ def test_sturm_counts_two_by_two_closed_form():
     # the empty matrix: no eigenvalues, det = 1
     counts, log_det = sturm_counts(np.array([]), x)
     assert counts.tolist() == [0] * len(x) and log_det.tolist() == [0.0] * len(x)
+    with pytest.raises(ValueError, match=r"^energies must not contain NaN$"):
+        sturm_counts(np.array([a, b]), np.array([math.nan]))
+    with pytest.raises(ValueError, match=r"^diag must not contain NaN$"):
+        sturm_counts(np.array([a, math.nan]), x)
 
 
 def test_sturm_counts_log_det_matches_dense(bench_specs):
