@@ -71,11 +71,10 @@ _SECTIONS = 8
 
 def periodic_bands(spec: ModelSpec, n: int, tol: float = 1e-10) -> BandList:
     """sigma(H_n) = {E : |tr M_E(n)| <= 2}: the p = |s'_n| bands of the periodic
-    approximant. Each Dirichlet eigenvalue of s'_n[1:] is bracketed by Sturm
-    counts until a point of its gap is seen; between two such cuts lies one
-    band, whose edges are bracketed to tol (README, qsturm.spectrum). The
-    O(p^2) search is refused, before the word is built, past p^2 =
-    DEFAULT_LENGTH_BUDGET."""
+    approximant. Its 2p edges are the jumps of the edge count, read from the
+    Sturm counts of s'_n[1:] and the half traces, and each is bracketed to
+    tol by one search (README, qsturm.spectrum). The O(p^2) search is
+    refused, before the word is built, past p^2 = DEFAULT_LENGTH_BUDGET."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not tol > 0:
@@ -89,54 +88,54 @@ def periodic_bands(spec: ModelSpec, n: int, tol: float = 1e-10) -> BandList:
     v = spec.potential_values(level_words_prime(spec, n)[n + 1])
     dd = []
 
-    @np.errstate(over="ignore", invalid="ignore")
-    def half_traces(E):
-        """half_traces_many; where it overflows (inf - inf reads nan), the
-        double-double level product, whose exponent never overflows."""
+    def edge_count(E, c):
+        """m(E) from the Sturm counts c and y = half_traces_many, or where that overflows
+        (inf - inf reads nan) from the double-double level product, whose exponent
+        never overflows (past 2^1024 y reads +-inf)."""
         y = half_traces_many(spec, E, n)
         bad = ~np.isfinite(y)
         if bad.any():
             hi, lo, e = _levels(spec, n, lambda w: window._dd_sites(E[bad], w), window._dd_mul)[n + 1]
-            y[bad] = np.ldexp(0.5 * (hi[0, 0] + hi[1, 1] + (lo[0, 0] + lo[1, 1])), e.astype(np.int64))
+            with np.errstate(over="ignore"):
+                y[bad] = np.ldexp(0.5 * (hi[0, 0] + hi[1, 1] + (lo[0, 0] + lo[1, 1])), e.astype(np.int64))
         dd.append(int(bad.sum()))
-        return y
+        return np.where(np.abs(y) >= 1.0, 2 * (c + ((p - c) % 2 != np.signbit(y))), 2 * c + 1)
 
-    def apart(lo, hi):
-        """Brackets still wider than tol and than the spacing of their points."""
-        return np.abs(hi - lo) > np.maximum(tol, _SECTIONS * np.spacing(np.abs(lo) + np.abs(hi)))
-
-    # Until cut[j] is seen, lo[j] and hi[j] bracket Dirichlet eigenvalue j,
-    # count(lo) < j <= count(hi), seeded by a sweep over p + 1 even trials. One
-    # that closes first belongs to a gap of zero width; its midpoint is kept.
+    # Edge k is the k-th jump of the edge count m(E), the number of edges below E:
+    # m = 2c + 1 in band c, below which lie c Dirichlet eigenvalues of v[1:], and
+    # m = 2j in gap j, where y has the sign (-1)^(p - j) and j - 1 or j lie below,
+    # either count giving j; |y| = 1 reads as a gap, as one may sit on that edge.
+    # Brackets keep m_lo <= k < m_hi; one over at most one band knows c = m_lo // 2.
     lo_w, hi_w = energy_window(spec)
-    cut = np.r_[lo_w, np.full(p - 1, np.nan), hi_w]
-    lo, hi = np.full(p + 1, lo_w), np.full(p + 1, hi_w)
-    E = np.linspace(lo_w, hi_w, p + 1)
-    while E.size:
-        # E is in gap j: j - 1 or j eigenvalues below E, |y| > 1 with the sign (-1)^(p - j)
-        c, y = sturm_counts(v[1:], E)[0], half_traces(E)
-        j = c + ((p - c) % 2 != np.signbit(y))
-        seen = (np.abs(y) > 1.0) & (j > 0) & (j < p)
-        cut[j[seen]] = E[seen]
-        i = np.searchsorted(np.maximum.accumulate(c), np.arange(p + 1) - 1, side="right")
-        lo = np.maximum(lo, np.where(i > 0, E[i - 1], -np.inf))
-        hi = np.minimum(hi, np.where(i < len(E), E[np.minimum(i, len(E) - 1)], np.inf))
-        todo = np.isnan(cut) & apart(lo, hi)
-        E = _sorted_distinct(lo[todo, None]
-                             + (hi - lo)[todo, None] * np.arange(1, _SECTIONS) / _SECTIONS)
-    cut = np.where(np.isnan(cut), 0.5 * (lo + hi), cut)
-    # Left of band j (0-based), |y| > 1 with the sign (-1)^(p - j); right of it,
-    # with the other. Each edge brackets [cut[j], cut[j + 1]] on its side's test,
-    # true at out, false at inn; a band narrower than tol may come out reversed.
-    side = np.outer([1.0, -1.0], np.where((p - np.arange(p)) & 1, -1.0, 1.0)).ravel()
-    out, inn = np.concatenate((cut[:-1], cut[1:])), np.concatenate((cut[1:], cut[:-1]))
-    while (live := apart(out, inn)).any():
-        o, w = out[live, None], (inn - out)[live, None]
-        T = np.hstack((o, o + w * np.arange(1, _SECTIONS) / _SECTIONS, inn[live, None]))
-        k = (side[live, None] * half_traces(T[:, 1:-1].ravel()).reshape(len(T), -1) > 1.0).sum(axis=1)
-        out[live], inn[live] = T[np.arange(len(T)), k], T[np.arange(len(T)), k + 1]
-    edges = np.sort(inn.reshape(2, p), axis=0)
-    return BandList(tuple(zip(*edges.tolist())), level=f"periodic:{n}", dd_energies=sum(dd))
+    k = act = np.arange(2 * p)
+    lo, hi = np.full(2 * p, lo_w), np.full(2 * p, hi_w)
+    m_lo, m_hi = np.zeros(2 * p, dtype=np.intp), np.full(2 * p, 2 * p)
+    E, c = np.linspace(lo_w, hi_w, p + 3)[1:-1], np.full(p + 1, -1)
+    while act.size:
+        if (wide := c < 0).any():
+            c[wide] = sturm_counts(v[1:], E[wide])[0]
+        m = edge_count(E, c)
+        # Last trial with every m up to it <= k, first with every m from it on > k,
+        # kept inside the old bracket, as m is not monotone where |y| - 1 is noise.
+        i = np.searchsorted(np.maximum.accumulate(m), k[act], side="right") - 1
+        j = np.searchsorted(np.minimum.accumulate(m[::-1])[::-1], k[act], side="right")
+        ic, jc, L, H = np.maximum(i, 0), np.minimum(j, len(E) - 1), lo[act], hi[act]
+        new_lo = (i >= 0) & (E[ic] > L) & (E[ic] < H)
+        new_hi = (j < len(E)) & (E[jc] > L) & (E[jc] < H)
+        lo[act], m_lo[act] = np.where(new_lo, E[ic], L), np.where(new_lo, m[ic], m_lo[act])
+        hi[act], m_hi[act] = np.where(new_hi, E[jc], H), np.where(new_hi, m[jc], m_hi[act])
+        # A bracket that a round does not move, or no wider than tol, is final.
+        act = act[(new_lo | new_hi) & (hi[act] - lo[act] > tol)]
+        # Each distinct bracket (equal ones are neighbours) is cut into _SECTIONS.
+        L, H = lo[act], hi[act]
+        s = act[(L != np.r_[np.nan, L[:-1]]) | (H != np.r_[np.nan, H[:-1]])]
+        E = (lo[s, None] + (hi - lo)[s, None] * np.arange(1, _SECTIONS) / _SECTIONS).ravel()
+        c = np.repeat(np.where(m_hi[s] - m_lo[s] + m_lo[s] % 2 > 2, -1, m_lo[s] // 2), _SECTIONS - 1)
+        E, c = E[order := np.argsort(E, kind="stable")], c[order]
+    # lo[k] also bounds edge k + 1 and hi[k + 1] edge k: the envelopes keep edges in order.
+    edges = 0.5 * (np.maximum.accumulate(lo) + np.minimum.accumulate(hi[::-1])[::-1])
+    return BandList(tuple(zip(edges[0::2].tolist(), edges[1::2].tolist())),
+                    level=f"periodic:{n}", dd_energies=sum(dd))
 
 
 def _runs(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

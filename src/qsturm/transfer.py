@@ -166,17 +166,18 @@ def initial_triple_many(spec: ModelSpec, energies: np.ndarray
 
 
 def half_traces_many(spec: ModelSpec, energies: np.ndarray, n: int) -> np.ndarray:
-    """y_E(n) = tr(M_E(n)) / 2 over an energy array: the trace-map orbit of
-    the initial triple, _BATCH energies at a time."""
+    """y_E(n) = tr(M_E(n)) / 2 by the trace-map orbit of the initial triple,
+    _BATCH energies at a time; inf or nan, unwarned, reports an overflow."""
     if n < 1:
         raise ValueError("n must be >= 1")
     energies = np.asarray(energies, dtype=float)
     out = np.empty(len(energies))
-    for s in _batches(energies):
-        x, y, z = initial_triple_many(spec, energies[s])
-        for k in range(2, n + 1):
-            x, y, z = _trace_step(spec.cf.coefficient(k), x, y, z)
-        out[s] = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in _batches(energies):
+            x, y, z = initial_triple_many(spec, energies[s])
+            for k in range(2, n + 1):
+                x, y, z = _trace_step(spec.cf.coefficient(k), x, y, z)
+            out[s] = y
     return out
 
 

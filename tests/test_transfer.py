@@ -211,6 +211,15 @@ def test_half_traces_accurate_where_level_products_disagree(bench_specs, model, 
         assert abs(got[i] - _half_trace_digits(spec, n, energies[i])) <= 1e-10
 
 
+def test_half_traces_report_overflow_without_a_warning(bench_specs):
+    # digits at level 6 leaves double range over half of [-5, 5]: the orbit
+    # there reads inf or nan, and numpy's overflow warning (an error under
+    # the pytest settings) is not raised.
+    y = half_traces_many(bench_specs["digits"], np.linspace(-5.0, 5.0, 2000), 6)
+    assert int((~np.isfinite(y)).sum()) == 1012
+    assert np.isfinite(y[np.abs(np.linspace(-5.0, 5.0, 2000)) < 2.0]).all()
+
+
 # ------------------------------------------------------------------- Lyapunov
 
 def test_lyapunov_free_case_closed_form(free_spec):
