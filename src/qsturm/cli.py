@@ -177,7 +177,7 @@ def _cmd_lyapunov(spec, args, out: Output):
         raise ValueError(f"--grid must be at least 1, got {args.grid}")
     grid = transfer.energy_grid(spec, args.grid)
     gammas = transfer.lyapunov_many(spec, grid, args.length, shift=args.shift)
-    out.extra["factors"] = transfer._window_products(spec, [args.length], args.shift)
+    out.extra["factors"] = transfer._window_product.products
     out.header(["E", "gamma"])
     for e, g in zip(grid, gammas):
         out.row(e, g)
@@ -193,7 +193,7 @@ def _cmd_gordon(spec, args, out: Output):
 
 def _cmd_alpha(spec, args, out: Output):
     g = transfer.growth_exponents(spec, args.energy, args.shift, args.lmax)
-    out.extra["factors"] = transfer._window_products(spec, transfer._dyadic(args.lmax), args.shift)
+    out.extra["factors"] = transfer._window_product.products
     out.header(["gamma1", "gamma2", "alpha", "escaped"])
     out.row(g.gamma1, g.gamma2, g.alpha, str(g.escaped).lower())
 

@@ -46,7 +46,7 @@ def word_matrix(E: float, w: Word, f) -> np.ndarray:
     f is a mapping from alphabet labels to potential values (a dict or a
     ModelSpec potential).
     """
-    return _stack(_word_entries(np.array([E], dtype=float), _potential_table(f, w.alphabet)[w.codes]))[0]
+    return _stack(_word_entries(float(E), _potential_table(f, w.alphabet)[w.codes].tolist()))[0]
 
 
 def level_matrices(spec: ModelSpec, E: float, n_max: int) -> List[np.ndarray]:
@@ -75,14 +75,12 @@ def initial_triple(spec: ModelSpec, E: float) -> TraceTriple:
 Entries = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _word_entries(energies: np.ndarray, v) -> Entries:
-    """The matrix of the sites with potential values v, vectorized over an
-    energy array, as entries (m11, m12, m21, m22)."""
-    K = len(energies)
-    m11 = np.ones(K)
-    m12 = np.zeros(K)
-    m21 = np.zeros(K)
-    m22 = np.ones(K)
+def _word_entries(energies, v) -> Entries:
+    """The matrix of the sites with potential values v, as entries (m11,
+    m12, m21, m22), vectorized over an energy array, or on one Python float
+    over a list v: the same IEEE operations without numpy's per-call cost.
+    The identity it starts from has scalar entries, which broadcast."""
+    m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
     for x in v:
         d = energies - x
         m11, m12, m21, m22 = d * m11 - m21, d * m12 - m22, m11, m12
@@ -90,7 +88,7 @@ def _word_entries(energies: np.ndarray, v) -> Entries:
 
 
 def _stack(m: Entries) -> np.ndarray:
-    return np.stack(m, axis=-1).reshape(-1, 2, 2)
+    return np.stack(np.broadcast_arrays(*m), axis=-1).reshape(-1, 2, 2)
 
 
 def _mul(A: Entries, B: Entries) -> Entries:
@@ -214,35 +212,60 @@ def _distinct(v: np.ndarray, C: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     return v[order[new]], codes
 
 
+def _lanes(mats):
+    """Matrices, or pairs of them, stacked along a new last (lane) axis."""
+    return tuple(map(_lanes, zip(*mats))) if isinstance(mats[0], tuple) else np.stack(mats, axis=-1)
+
+
+def _lane(M, i):
+    """Lanes i (an int or a sequence) of stacked matrices or pairs, copied out."""
+    return tuple(_lane(x, i) for x in M) if isinstance(M, tuple) else np.take(M, i, axis=-1)
+
+
 def _window_product(spec: ModelSpec, ends: List[int], shift: int, sites, mul) -> list:
     """The matrices of the windows u[shift:shift + N] for the increasing N in
     ends, from sites(v), the matrix of the sites with potential values v
     (or their pair, window._pair_sites), and mul(A, B) = A B: each is the
-    one before times the product of the factors (_window_factors, codes
-    looked up in one table of f) of the piece between, with the level
-    matrices of _levels built once up to the highest level a factor names."""
-    pieces = [_window_factors(spec, b - a, shift + a) for a, b in zip([0] + ends, ends)]
-    top = max((f[0] for factors in pieces for f in factors if isinstance(f, tuple)), default=0)
-    levels = _levels(spec, top, sites, mul)
+    one before times the product of the factors (_window_factors) of the
+    piece between. Each distinct factor, a power of a level matrix (_levels)
+    or a run of sites (codes looked up in one table of f), is multiplied out
+    once. The pieces, longest first, are then folded side by side on a lane
+    axis after the energy axes: step t multiplies the t-th factor of every
+    piece that has one, so the sequential products grow with the longest
+    piece, not with all of them. The 2x2 products per energy, one for each
+    lane, are left in _window_product.products.
+    """
+    products = 0
+
+    def count(k, M):
+        nonlocal products
+        products += k
+        return M
+
+    def mul1(A, B):
+        return count(1, mul(A, B))
+
+    distinct = {}  # factor key -> (index, factor), in the order first met
+    pieces = [[distinct.setdefault(f if isinstance(f, tuple) else f.tobytes(), (len(distinct), f))[0]
+               for f in _window_factors(spec, b - a, shift + a)] for a, b in zip([0] + ends, ends)]
+    factors = [f for _, f in distinct.values()]
+    levels = _levels(spec, max((f[0] for f in factors if isinstance(f, tuple)), default=0),
+                     lambda v: count(len(v) - 1, sites(v)), mul1)
     table = _potential_table(spec.potential, spec.subst.target_alphabet)
-    products = (window._fold(mul, (_power(levels[f[0] + 1], f[1], mul) if isinstance(f, tuple)
-                                   else sites(table[f]) for f in factors)) for factors in pieces)
-    return list(accumulate(products, lambda P, M: mul(M, P)))
-
-
-def _window_products(spec: ModelSpec, ends: List[int], shift: int) -> int:
-    """The 2x2 products per energy that form the matrices of the windows
-    u[shift:shift + N], N in ends: the window product run with counting
-    stand-ins for the matrices."""
-    n = 0
-
-    def count(k):
-        nonlocal n
-        n += k
-        return 0
-
-    _window_product(spec, ends, shift, lambda v: count(len(v) - 1), lambda A, B: count(1))
-    return n
+    formed = [_power(levels[f[0] + 1], f[1], mul1) if isinstance(f, tuple)
+              else count(len(f) - 1, sites(table[f])) for f in factors]
+    order = sorted(range(len(pieces)), key=lambda i: -len(pieces[i]))
+    folded, R, n = [None] * len(pieces), None, len(pieces)
+    for t in range(len(pieces[order[0]]) + 1):
+        while n and len(pieces[order[n - 1]]) == t:  # lane n - 1 has had its last factor
+            n -= 1
+            folded[order[n]] = _lane(R, n)
+        if n:
+            F = _lanes([formed[pieces[i][t]] for i in order[:n]])
+            R = F if R is None else count(n, mul(F, _lane(R, range(n))))
+    windows = list(accumulate(folded, lambda P, M: mul1(M, P)))
+    _window_product.products = products
+    return windows
 
 
 def lyapunov_many(spec: ModelSpec, energies: np.ndarray, L: int, shift: int = 0) -> np.ndarray:

@@ -302,8 +302,10 @@ def test_lyapunov_output_grid(free_path, capsys):
 
 def test_transfer_commands_record_factors(tmp_path, capsys):
     # lyapunov reports the 2x2 products per energy of its window product, and
-    # alpha the pair products of its windows up to each dyadic scale. Each is
-    # the same on every run.
+    # alpha the pair products of its windows up to each dyadic scale, one for
+    # each lane of a call that folds the pieces side by side, with each
+    # distinct level power and site run formed once. Each is the same on
+    # every run.
     q5 = str(BENCH_MODELS / "q5.json")
     E = repr(BENCH_CENTRES["q5"])
     large = dict(json.loads((BENCH_MODELS / "fibonacci.json").read_text()), potential={"a": 1e7, "b": 0.0})
@@ -315,8 +317,8 @@ def test_transfer_commands_record_factors(tmp_path, capsys):
         (["lyapunov", q5, "--length", "100000"], ["# factors=40"]),
         (["lyapunov", q5, "--length", "100000", "--grid", "3"], ["# factors=40"]),
         (["lyapunov", q5, "--length", "100000", "--shift", "5"], ["# factors=56"]),
-        (["alpha", q5, "--energy", E, "--lmax", "16383"], ["# factors=154"]),
-        (["alpha", q5, "--energy", E, "--lmax", "100000"], ["# factors=216"]),
+        (["alpha", q5, "--energy", E, "--lmax", "16383"], ["# factors=125"]),
+        (["alpha", q5, "--energy", E, "--lmax", "100000"], ["# factors=172"]),
         # a potential past 10^7 adds no product: each one is rescaled
         (["lyapunov", str(tmp_path / "large.json"), "--length", "2000", "--grid", "5"], ["# factors=18"]),
     ]
@@ -330,7 +332,7 @@ def test_transfer_commands_record_factors(tmp_path, capsys):
     code, out, err = run(cases[-2][0] + ["--format", "json"], capsys)
     assert code == 0, err
     doc = json.loads(out)
-    assert doc["factors"] == 216 and "segments" not in doc and "chunk" not in doc
+    assert doc["factors"] == 172 and "segments" not in doc and "chunk" not in doc
 
 
 def test_transfer_commands_take_hull_scale_windows(capsys):

@@ -6,6 +6,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +26,9 @@ from qsturm.transfer import (
     GordonResult,
     GrowthExponents,
     _dyadic,
+    _levels,
+    _power,
     _window_product,
-    _window_products,
     gordon_residual,
     growth_exponents,
     half_traces_many,
@@ -42,10 +44,11 @@ from qsturm.transfer import (
     sturm_counts,
     word_matrix,
 )
-from qsturm.window import _dd_mul, _dd_sites
+from qsturm.window import _dd_mul, _dd_sites, _fold, _pair_mul, _pair_sites
 from qsturm.words import (
     ModelSpec,
     Word,
+    _potential_table,
     _window_factors,
     characteristic_prefix,
     find_squares,
@@ -467,17 +470,20 @@ def test_lyapunov_window_matches_site_loop_after_long_prefix(L):
 
 def test_window_products_count_the_kernel_products(bench_specs, monkeypatch):
     # The CLI's factors metadata is the number of double-double products per
-    # batch of energies, besides the one of the spectral norm.
-    # transfer reads window._dd_mul at call time, so patching window counts
-    # every product, of the window and of the spectral norm alike.
+    # energy that the window product performs, one for each lane of a call,
+    # besides the one of the spectral norm. transfer reads window._dd_mul at
+    # call time, so patching window counts every product, of the window and
+    # of the spectral norm alike; a call's lanes are its exponent arrays'
+    # size over the 3 energies.
     products = []
     dd_mul = qsturm.window._dd_mul
-    monkeypatch.setattr(qsturm.window, "_dd_mul", lambda A, B: products.append(1) or dd_mul(A, B))
+    monkeypatch.setattr(qsturm.window, "_dd_mul",
+                        lambda A, B: products.append(np.broadcast(A[2], B[2]).size // 3) or dd_mul(A, B))
     for model, L, shift in [("q5", 100_000, 0), ("digits", 16_421, 5), ("prefixed", 20_000, 1)]:
         spec = bench_specs[model]
         products.clear()
         lyapunov_many(spec, np.linspace(*energy_window(spec), 3), L, shift=shift)
-        assert len(products) == _window_products(spec, [L], shift) + 1
+        assert sum(products) == _window_product.products + 1
 
 
 def test_lyapunov_long_window_builds_no_word(bench_specs):
@@ -846,17 +852,66 @@ def test_growth_exponents_match_site_loop_after_long_prefix(monkeypatch, L_max):
 
 
 def test_growth_products_count_the_kernel_products(bench_specs, monkeypatch):
-    # The CLI's factors metadata for alpha is the number of pair products,
-    # besides the one that reads every angle.
+    # The CLI's factors metadata for alpha is the number of pair products
+    # that the window products perform, one for each lane of a call (its
+    # exponent arrays' size at one energy), besides the last call, which
+    # reads every angle.
     products = []
     pair_mul = qsturm.window._pair_mul
-    monkeypatch.setattr(qsturm.window, "_pair_mul", lambda A, B: products.append(1) or pair_mul(A, B))
+    monkeypatch.setattr(qsturm.window, "_pair_mul",
+                        lambda A, B: products.append(np.broadcast(A[0][2], B[0][2]).size) or pair_mul(A, B))
     for model, L, shift in [("q5", 100_000, 0), ("digits", 16_421, 5), ("prefixed", 20_000, 1),
                             ("fibonacci", 1000, 0)]:
         spec = bench_specs[model]
         products.clear()
         growth_exponents(spec, 0.1, shift, L)
-        assert len(products) == _window_products(spec, _dyadic(L), shift) + 1
+        assert sum(products[:-1]) == _window_product.products
+
+
+def test_growth_products_are_sequential_in_log_length(bench_specs, monkeypatch):
+    # The dyadic pieces are folded side by side, so the sequential pair
+    # products grow as log L_max: 346 calls at 2^100, where folding each
+    # piece on its own took 5,249.
+    calls = []
+    pair_mul = qsturm.window._pair_mul
+    monkeypatch.setattr(qsturm.window, "_pair_mul", lambda A, B: calls.append(1) or pair_mul(A, B))
+    growth_exponents(bench_specs["fibonacci"], 0.5, 0, 2**100)
+    assert len(calls) <= 400
+
+
+def _window_product_per_piece(spec, ends, shift, sites, mul):
+    """Oracle: the window product with each piece's factors folded on their
+    own in word order, each level power formed again wherever it appears."""
+    pieces = [_window_factors(spec, b - a, shift + a) for a, b in zip([0] + ends, ends)]
+    top = max((f[0] for factors in pieces for f in factors if isinstance(f, tuple)), default=0)
+    levels = _levels(spec, top, sites, mul)
+    table = _potential_table(spec.potential, spec.subst.target_alphabet)
+    products = [_fold(mul, [_power(levels[f[0] + 1], f[1], mul) if isinstance(f, tuple) else sites(table[f])
+                            for f in factors]) for factors in pieces]
+    return list(accumulate(products, lambda P, M: mul(M, P)))
+
+
+def _leaves(M):
+    return [y for x in M for y in _leaves(x)] if isinstance(M, tuple) else [M]
+
+
+@pytest.mark.parametrize("model", ["fibonacci", "q5", "digits", "prefixed"])
+def test_lockstep_window_products_match_per_piece_fold(bench_specs, model):
+    # Folding the dyadic pieces side by side along a lane axis repeats each
+    # piece's products in the same order, elementwise, so the window
+    # matrices and pairs are bit for bit those of the per-piece fold.
+    spec = bench_specs[model]
+    energies = np.linspace(*energy_window(spec), 4)
+    energy = np.array([0.5])
+    algebras = [(lambda v: _dd_sites(energies, v), _dd_mul), (lambda v: _pair_sites(energy, v), _pair_mul)]
+    for L_max in (10**4, 3 * 10**4, 10**5, 2**40):
+        for shift in (0, 121, 10**15):
+            for sites, mul in algebras:
+                args = (spec, _dyadic(L_max), shift, sites, mul)
+                got, want = _window_product(*args), _window_product_per_piece(*args)
+                assert len(got) == len(want)
+                for g, w in zip(_leaves(tuple(got)), _leaves(tuple(want))):
+                    assert g.shape == w.shape and g.tobytes() == w.tobytes(), (L_max, shift)
 
 
 def _log_norms_digits(v, E, angles, scales, digits=40):
