@@ -2,7 +2,9 @@
 sweeps via trace-map classification, measure statistics, and the
 eigenvalues of finite tridiagonal truncations. Bands and eigenvalues are
 both bracketed by Sturm counts (Barth, Martin and Wilkinson 1967), one
-lane per energy (transfer.sturm_counts), numpy only.
+lane per energy (transfer.sturm_counts), numpy only. Both searches take
+one bracket step, one cut to distinct brackets and one ordered read of
+the midpoints; each keeps its own trials and stop rule.
 """
 
 from __future__ import annotations
@@ -54,13 +56,30 @@ class BandList(_BandListFields):
         return any(lo - dilation <= E <= hi + dilation for lo, hi in self.bands)
 
 
-def _sorted_distinct(x: np.ndarray) -> np.ndarray:
-    """The distinct values of x, ascending: np.unique without its numpy.ma
-    import (numpy 2.x asks np.ma.is_masked), which no qsturm array needs."""
-    x = np.sort(x, axis=None)
-    keep = np.ones(x.size, dtype=bool)
-    keep[1:] = x[1:] != x[:-1]
-    return x[keep]
+def _bracket_step(lo, hi, m_lo, m_hi, act, E, m):
+    """Tighten in place the brackets of the active k (m_lo <= k < m_hi) from the counts
+    m at ascending trials E: lo to the last trial with every m up to it <= k, hi to the
+    first with every m from it on > k (m need not be monotone), each only to a trial
+    strictly inside the old bracket. Returns the moved ends and their trial indices."""
+    i = np.searchsorted(np.maximum.accumulate(m), act, side="right") - 1
+    j = np.searchsorted(np.minimum.accumulate(m[::-1])[::-1], act, side="right")
+    ic, jc, L, H = np.maximum(i, 0), np.minimum(j, len(E) - 1), lo[act], hi[act]
+    new_lo = (i >= 0) & (E[ic] > L) & (E[ic] < H)
+    new_hi = (j < len(E)) & (E[jc] > L) & (E[jc] < H)
+    lo[act], m_lo[act] = np.where(new_lo, E[ic], L), np.where(new_lo, m[ic], m_lo[act])
+    hi[act], m_hi[act] = np.where(new_hi, E[jc], H), np.where(new_hi, m[jc], m_hi[act])
+    return new_lo, new_hi, ic, jc
+
+
+def _bracket_heads(lo, hi, act):
+    """The first of each run of equal neighbouring brackets in act."""
+    L, H = lo[act], hi[act]
+    return act[(L != np.r_[np.nan, L[:-1]]) | (H != np.r_[np.nan, H[:-1]])]
+
+
+def _ordered_mids(lo, hi):
+    """Bracket midpoints, ascending: lo[k] also bounds k + 1 and hi[k + 1] bounds k."""
+    return 0.5 * (np.maximum.accumulate(lo) + np.minimum.accumulate(hi[::-1])[::-1])
 
 
 # Each round of the band search cuts every open bracket into _SECTIONS: a round
@@ -107,33 +126,21 @@ def periodic_bands(spec: ModelSpec, n: int, tol: float = 1e-10) -> BandList:
     # either count giving j; |y| = 1 reads as a gap, as one may sit on that edge.
     # Brackets keep m_lo <= k < m_hi; one over at most one band knows c = m_lo // 2.
     lo_w, hi_w = energy_window(spec)
-    k = act = np.arange(2 * p)
+    act = np.arange(2 * p)
     lo, hi = np.full(2 * p, lo_w), np.full(2 * p, hi_w)
     m_lo, m_hi = np.zeros(2 * p, dtype=np.intp), np.full(2 * p, 2 * p)
     E, c = np.linspace(lo_w, hi_w, p + 3)[1:-1], np.full(p + 1, -1)
     while act.size:
         if (wide := c < 0).any():
             c[wide] = sturm_counts(v[1:], E[wide])[0]
-        m = edge_count(E, c)
-        # Last trial with every m up to it <= k, first with every m from it on > k,
-        # kept inside the old bracket, as m is not monotone where |y| - 1 is noise.
-        i = np.searchsorted(np.maximum.accumulate(m), k[act], side="right") - 1
-        j = np.searchsorted(np.minimum.accumulate(m[::-1])[::-1], k[act], side="right")
-        ic, jc, L, H = np.maximum(i, 0), np.minimum(j, len(E) - 1), lo[act], hi[act]
-        new_lo = (i >= 0) & (E[ic] > L) & (E[ic] < H)
-        new_hi = (j < len(E)) & (E[jc] > L) & (E[jc] < H)
-        lo[act], m_lo[act] = np.where(new_lo, E[ic], L), np.where(new_lo, m[ic], m_lo[act])
-        hi[act], m_hi[act] = np.where(new_hi, E[jc], H), np.where(new_hi, m[jc], m_hi[act])
+        new_lo, new_hi, _, _ = _bracket_step(lo, hi, m_lo, m_hi, act, E, edge_count(E, c))
         # A bracket that a round does not move, or no wider than tol, is final.
         act = act[(new_lo | new_hi) & (hi[act] - lo[act] > tol)]
-        # Each distinct bracket (equal ones are neighbours) is cut into _SECTIONS.
-        L, H = lo[act], hi[act]
-        s = act[(L != np.r_[np.nan, L[:-1]]) | (H != np.r_[np.nan, H[:-1]])]
+        s = _bracket_heads(lo, hi, act)
         E = (lo[s, None] + (hi - lo)[s, None] * np.arange(1, _SECTIONS) / _SECTIONS).ravel()
         c = np.repeat(np.where(m_hi[s] - m_lo[s] + m_lo[s] % 2 > 2, -1, m_lo[s] // 2), _SECTIONS - 1)
         E, c = E[order := np.argsort(E, kind="stable")], c[order]
-    # lo[k] also bounds edge k + 1 and hi[k + 1] edge k: the envelopes keep edges in order.
-    edges = 0.5 * (np.maximum.accumulate(lo) + np.minimum.accumulate(hi[::-1])[::-1])
+    edges = _ordered_mids(lo, hi)
     return BandList(tuple(zip(edges[0::2].tolist(), edges[1::2].tolist())),
                     level=f"periodic:{n}", dd_energies=sum(dd))
 
@@ -209,14 +216,18 @@ def tridiagonal_eigenvalues(diag: np.ndarray) -> np.ndarray:
 
     Eigenvalue k is kept in a bracket [lo, hi] with count(lo) <= k <
     count(hi), where count is the Sturm count of sturm_counts. One sweep
-    over n + 1 evenly spaced energies seeds every bracket; then each round
-    evaluates one trial energy per unfinished eigenvalue and tightens every
-    bracket from all the counts of the round. The trial is the bracket
-    midpoint, or a regula falsi step on ln|det(E - T)| (Illinois variant:
-    the end kept twice in a row has its value halved) once the bracket
-    holds one eigenvalue and lies at least its own width from the brackets
-    of both neighbours. A bracket that three such steps have not halved is
-    bisected. The result is certified by counts alone.
+    over n + 1 evenly spaced energies, the window's ends included, seeds
+    every bracket; each round then takes one trial per distinct unfinished
+    bracket. The bracket step, the distinct-bracket cut and the ordered
+    read are those of periodic_bands. The trial is the midpoint, or a
+    regula falsi step on ln|det(E - T)| (Illinois variant: the end kept
+    twice in a row has its value halved) once the bracket holds one
+    eigenvalue and lies at least its own width from its neighbours'. A
+    bracket that three such steps have not halved is bisected. A bracket is
+    final once no wider than the bound or no double lies strictly inside:
+    the bands' rule, final on a round that moves no end, left an eigenvalue
+    of [1e300, -1e300, 1e300] 1e300 off, and bisection alone took 204 ms
+    against 124 at 2,000 sites. The result is certified by counts alone.
     """
     v = np.asarray(diag, dtype=float)
     n = len(v)
@@ -227,32 +238,18 @@ def tridiagonal_eigenvalues(diag: np.ndarray) -> np.ndarray:
     lo_w = float(v.min()) - 2.0 - ENERGY_MARGIN
     hi_w = float(v.max()) + 2.0 + ENERGY_MARGIN
     tol = (hi_w - lo_w) * _EIGEN_RTOL
-    k = np.arange(n)
     lo, hi = np.full(n, lo_w), np.full(n, hi_w)
     c_lo, c_hi = np.zeros(n, dtype=np.intp), np.full(n, n, dtype=np.intp)
-    # ln|det(E - T)| at the bracket ends; Illinois halvings subtract ln 2
-    f_lo, f_hi = np.full(n, np.nan), np.full(n, np.nan)
     moved = np.zeros(n, dtype=np.int8)  # +1 lo alone moved last round, -1 hi alone
     stale = np.zeros(n, dtype=np.int8)  # rounds since the bracket last halved
     last_halved = hi - lo
-    act = k
+    act = np.arange(n)
     trials = np.linspace(lo_w, hi_w, n + 1)
+    counts, log_det = sturm_counts(v, trials)
+    # ln|det(E - T)| at the bracket ends, first the window's; Illinois halvings subtract ln 2
+    f_lo, f_hi = np.full(n, log_det[0]), np.full(n, log_det[-1])
     while True:
-        counts, log_det = sturm_counts(v, trials)
-        L, H = lo[act], hi[act]
-        # Last trial with every count up to it <= k, first with every count
-        # from it on > k: both hold even where rounding breaks monotonicity.
-        up = np.maximum.accumulate(counts)
-        down = np.minimum.accumulate(counts[::-1])[::-1]
-        i = np.searchsorted(up, k[act], side="right") - 1
-        j = np.searchsorted(down, k[act], side="right")
-        ic, jc = np.maximum(i, 0), np.minimum(j, len(trials) - 1)
-        new_lo = (i >= 0) & (trials[ic] >= L) & (trials[ic] < H)
-        new_hi = (j < len(trials)) & (trials[jc] <= H) & (trials[jc] > L)
-        lo[act] = np.where(new_lo, trials[ic], L)
-        hi[act] = np.where(new_hi, trials[jc], H)
-        c_lo[act] = np.where(new_lo, counts[ic], c_lo[act])
-        c_hi[act] = np.where(new_hi, counts[jc], c_hi[act])
+        new_lo, new_hi, ic, jc = _bracket_step(lo, hi, c_lo, c_hi, act, trials, counts)
         side = np.where(new_lo & ~new_hi, 1, np.where(new_hi & ~new_lo, -1, 0)).astype(np.int8)
         again = (side != 0) & (side == moved[act])
         f_lo[act] = np.where(new_lo, log_det[ic], f_lo[act] - _LN2 * (again & (side < 0)))
@@ -265,19 +262,20 @@ def tridiagonal_eigenvalues(diag: np.ndarray) -> np.ndarray:
         mid = 0.5 * (lo[act] + hi[act])
         act = act[(w > tol) & (mid > lo[act]) & (mid < hi[act])]
         if not act.size:
-            return np.sort(0.5 * (lo + hi))
-        L, H = lo[act], hi[act]
+            return _ordered_mids(lo, hi)
+        s = _bracket_heads(lo, hi, act)
+        L, H = lo[s], hi[s]
         w = H - L
-        below = np.concatenate(([-np.inf], hi[:-1]))[act]
-        above = np.concatenate((lo[1:], [np.inf]))[act]
+        below = np.concatenate(([-np.inf], hi[:-1]))[s]
+        above = np.concatenate((lo[1:], [np.inf]))[s]
         with np.errstate(invalid="ignore"):
-            df = f_hi[act] - f_lo[act]
-            s = np.exp(-np.abs(df))
-            step = w * s / (1.0 + s)
+            df = f_hi[s] - f_lo[s]
+            step = w * (e := np.exp(-np.abs(df))) / (1.0 + e)
             falsi = np.where(df >= 0, L + step, H - step)
-            usable = ((c_hi[act] - c_lo[act] == 1) & (stale[act] < 3)
+            usable = ((c_hi[s] - c_lo[s] == 1) & (stale[s] < 3)
                       & (L - below >= w) & (above - H >= w) & (falsi > L) & (falsi < H))
-        trials = _sorted_distinct(np.where(usable, falsi, 0.5 * (L + H)))
+        trials = np.sort(np.where(usable, falsi, 0.5 * (L + H)))
+        counts, log_det = sturm_counts(v, trials)
 
 
 class MeasureRow(NamedTuple):

@@ -14,6 +14,7 @@ from qsturm.contfrac import ContinuedFraction
 from qsturm.errors import LengthBudgetExceeded
 from qsturm.spectrum import (
     BandList,
+    _bracket_step,
     _runs,
     energy_window,
     finite_eigenvalues,
@@ -22,7 +23,7 @@ from qsturm.spectrum import (
     stable_set,
     tridiagonal_eigenvalues,
 )
-from qsturm.transfer import half_traces_many
+from qsturm.transfer import ENERGY_MARGIN, half_traces_many
 from qsturm.words import DEFAULT_LENGTH_BUDGET, ModelSpec, Substitution, Word
 
 
@@ -366,6 +367,56 @@ def test_tridiagonal_eigenvalues_double_well(barrier):
     got = tridiagonal_eigenvalues(v)
     assert np.all(np.diff(got) >= 0)
     assert np.max(np.abs(got - want)) <= 1e-10
+
+
+def test_tridiagonal_eigenvalues_stop_rule_at_scale_limits():
+    # At 1e300 the counts at the bracket ends are rounding noise and the brackets
+    # of the two upper eigenvalues stop moving long before they reach 2^-40 of the
+    # window; the search still ends inside that bound (9.1e287 against 1.8e288),
+    # where stopping on a round that moves no end returned one 1e300 off.
+    v = np.array([1e300, -1e300, 1e300])
+    got = tridiagonal_eigenvalues(v)
+    width = (v.max() + 2.0 + ENERGY_MARGIN) - (v.min() - 2.0 - ENERGY_MARGIN)
+    assert np.all(np.diff(got) >= 0)
+    assert np.max(np.abs(got - np.linalg.eigvalsh(_jacobi(v)))) <= 2.0 ** -40 * width
+
+
+@pytest.mark.parametrize("size", [1, 300])
+@pytest.mark.parametrize("offset", [1e5, 1e8])
+def test_tridiagonal_eigenvalues_within_two_ulp_on_offset_diagonals(offset, size):
+    # At 1e5 one ulp (1.5e-11) is wider than 2^-40 of the window (5.5e-12), so the
+    # search ends where no double lies strictly inside a bracket. The oracle is
+    # eigvalsh of the shifted matrix: on the offset one it is itself 10-20 ulp off.
+    u = np.random.default_rng(5).uniform(0.0, 1.0, size)
+    v = offset + u
+    want = np.linalg.eigvalsh(_jacobi(v - offset)) + offset
+    got = tridiagonal_eigenvalues(v)
+    assert np.all(np.diff(got) >= 0)
+    assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
+
+
+def test_bracket_step_on_a_non_monotone_count_sequence():
+    # Counts 3, 2, 3 at E = 2, 3, 4: the bracket of k = 2 must not take E = 3
+    # (count 2) as its lower end, since E = 2 already counts 3 > 2.
+    E = np.arange(7.0)
+    m = np.array([0, 1, 3, 2, 3, 4, 5])
+    lo = np.array([0.0, -1.0, -1.0, 4.5, 5.0, -1.0])
+    hi = np.array([10.0, 10.0, 10.0, 10.0, 5.5, 10.0])
+    m_lo = np.zeros(6, dtype=np.intp)
+    m_lo[3:5] = (3, 4)
+    m_hi = np.full(6, 6, dtype=np.intp)
+    m_hi[4] = 5
+    act = np.arange(6)
+    old_lo, old_hi = lo.copy(), hi.copy()
+    new_lo, new_hi, ic, jc = _bracket_step(lo, hi, m_lo, m_hi, act, E, m)
+    # k = 0 sits on the trial E = 0 and k = 4 on E = 5: neither is a move.
+    assert new_lo.tolist() == [False, True, True, False, False, True]
+    assert new_hi.tolist() == [True, True, True, True, False, False]
+    assert lo.tolist() == [0.0, 1.0, 1.0, 4.5, 5.0, 6.0]
+    assert hi.tolist() == [1.0, 2.0, 4.0, 5.0, 5.5, 10.0]
+    assert np.all(lo >= old_lo) and np.all(hi <= old_hi) and np.all(lo < hi)
+    assert np.all(m_lo <= act) and np.all(act < m_hi)
+    assert np.array_equal(m_lo[new_lo], m[ic[new_lo]]) and np.array_equal(m_hi[new_hi], m[jc[new_hi]])
 
 
 def test_finite_eigenvalues_leave_scipy_unloaded():
