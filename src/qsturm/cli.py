@@ -8,6 +8,8 @@ identical (model, parameters, version) runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import math
 import sys
@@ -265,6 +267,12 @@ def build_parser(argv: Optional[List[str]] = None) -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    # At exit the interpreter's collections traverse every live object only
+    # to free memory the OS takes back anyway (12-16 ms of a call that loads
+    # numpy); frozen objects are skipped. Once per process, whatever the
+    # number of calls; the library leaves its host's exit alone.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
     try:

@@ -275,6 +275,8 @@ def tridiagonal_eigenvalues(diag: np.ndarray) -> np.ndarray:
             usable = ((c_hi[s] - c_lo[s] == 1) & (stale[s] < 3)
                       & (L - below >= w) & (above - H >= w) & (falsi > L) & (falsi < H))
         trials = np.sort(np.where(usable, falsi, 0.5 * (L + H)))
+        # equal brackets that are not neighbours share a midpoint: count it once
+        trials = trials[np.r_[True, trials[1:] != trials[:-1]]]
         counts, log_det = sturm_counts(v, trials)
 
 

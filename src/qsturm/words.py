@@ -446,8 +446,9 @@ def _window_factors(spec: ModelSpec, L: int, shift: int):
 
 def qs_prefix(spec: ModelSpec, length: int, shift: int = 0) -> Word:
     """Symbols shift..shift+length-1 of u = prefix . S(c_theta): the window's
-    factors (_window_factors) joined, with m copies of s'_j for each (j, m),
-    so the length budget bounds the window's length and any shift is taken."""
+    factors (_window_factors) written in turn into one array, m rows of s'_j
+    for each (j, m), so the length budget bounds the window's length and any
+    shift is taken."""
     if length < 1:
         raise ValueError("length must be >= 1")
     if shift < 0:
@@ -457,8 +458,12 @@ def qs_prefix(spec: ModelSpec, length: int, shift: int = 0) -> Word:
     factors = _window_factors(spec, length, shift)
     n_levels = max((f[0] + 2 for f in factors if isinstance(f, tuple)), default=1)
     levels = list(itertools.islice(_sturmian_words(spec.cf, *_images(spec)), n_levels))
-    return Word(np.concatenate([np.tile(levels[f[0] + 1].codes, f[1]) if isinstance(f, tuple) else f
-                                for f in factors]), spec.subst.target_alphabet)
+    out, end = np.empty(length, dtype=np.int32), 0
+    for f in factors:
+        codes, m = (levels[f[0] + 1].codes, f[1]) if isinstance(f, tuple) else (f, 1)
+        start, end = end, end + m * len(codes)
+        out[start:end].reshape(m, len(codes))[:] = codes
+    return Word(out, spec.subst.target_alphabet)
 
 
 # ---------------------------------------------------------------------------

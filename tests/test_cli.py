@@ -529,6 +529,60 @@ def test_commands_leave_numpy_ma_unloaded():
     subprocess.run([sys.executable, "-c", code], env=_qsturm_env(), check=True, stdout=subprocess.DEVNULL)
 
 
+# An atexit handler registered before qsturm.cli is imported runs after every
+# handler the CLI registers (last in, first out) and reports what exit left:
+# the calls to gc.freeze so far and the number of frozen objects.
+EXIT_PROBE = ("import atexit, gc, os\n"
+              "freezes, freeze = [], gc.freeze\n"
+              "gc.freeze = lambda: freezes.append(1) or freeze()\n"
+              "atexit.register(lambda: os.write(2, f'freezes={len(freezes)} frozen={gc.get_freeze_count()}\\n'.encode()))\n")
+
+
+def _exit_report(code, *argv):
+    """(stdout, exit status, the probe's last stderr line) of code run after EXIT_PROBE."""
+    proc = subprocess.run([sys.executable, "-c", EXIT_PROBE + code, *argv], env=_qsturm_env(),
+                          capture_output=True, text=True)
+    return proc.stdout, proc.returncode, proc.stderr.splitlines()[-1]
+
+
+def test_cli_run_freezes_its_heap_at_exit(bench_specs):
+    # The shutdown collections then have nothing to traverse (12-16 ms of a
+    # call that loads numpy). The interpreter flushes stdout after the atexit
+    # handlers, so 10^5 symbols still come out whole.
+    q5 = str(BENCH_MODELS / "q5.json")
+    entry = "import sys; from qsturm.cli import main; sys.exit(main())"
+    out, status, report = _exit_report(entry, "generate", q5, "--length", "100000")
+    assert status == 0
+    assert out.splitlines()[-2:] == ["sequence", qsturm.qs_prefix(bench_specs["q5"], 100000).to_str()]
+    assert report.startswith("freezes=1 ") and int(report.split("frozen=")[1]) > 0, report
+    # The hook is registered before the arguments are parsed.
+    for argv, code in ((["--version"], 0), (["--help"], 0), (["generate"], 2), (["bands", q5], 2)):
+        _, status, report = _exit_report(entry, *argv)
+        assert status == code and report.startswith("freezes=1 "), (argv, report)
+
+
+def test_library_calls_leave_the_exit_alone():
+    # Only the CLI freezes: a host that imports qsturm keeps its own exit.
+    q5 = str(BENCH_MODELS / "q5.json")
+    code = ("import json, qsturm\nfrom qsturm import ModelSpec, finite_eigenvalues, periodic_bands\n"
+            f"spec = ModelSpec.from_json(json.load(open({q5!r})))\n"
+            "assert periodic_bands(spec, 6).band_count > 0\n"
+            "assert len(finite_eigenvalues(spec, 0, 300)) == 300\n")
+    _, status, report = _exit_report(code)
+    assert status == 0 and report == "freezes=0 frozen=0", report
+
+
+def test_repeated_main_registers_one_freeze():
+    # Tests call main() many times in one process; exit freezes once.
+    q5 = str(BENCH_MODELS / "q5.json")
+    code = ("from qsturm.cli import main\n"
+            f"for argv in [['generate', {q5!r}, '--length', '5']] * 5 + [['tracemap', {q5!r}, '--energy', '0.5']]:\n"
+            "    assert main(argv) == 0\n")
+    out, status, report = _exit_report(code)
+    assert status == 0 and out.count("# command=generate") == 5
+    assert report.startswith("freezes=1 "), report
+
+
 def _generate_q5(before="", after="", argv=None):
     """stdout of `qsturm generate` on q5 (or of argv) in a fresh interpreter,
     with Python statements run before the call and after it."""

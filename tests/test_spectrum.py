@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qsturm.spectrum
 from qsturm.contfrac import ContinuedFraction
 from qsturm.errors import LengthBudgetExceeded
 from qsturm.spectrum import (
@@ -393,6 +394,25 @@ def test_tridiagonal_eigenvalues_within_two_ulp_on_offset_diagonals(offset, size
     got = tridiagonal_eigenvalues(v)
     assert np.all(np.diff(got) >= 0)
     assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
+
+
+@pytest.mark.parametrize("v,energies", [([1e300, -1e300, 1e300], 83), ([1e300, 0.0, -1e300], 121)])
+def test_tridiagonal_eigenvalues_count_each_trial_once(monkeypatch, v, energies):
+    # Brackets 0 and 2 of these diagonals stay equal with bracket 1 between
+    # them, so the distinct-bracket cut keeps both and their shared midpoint
+    # is a trial twice in a round; it is counted once (84 and 123 before).
+    seen = []
+    counts = qsturm.spectrum.sturm_counts
+
+    def counting(diag, E):
+        assert np.all(np.diff(E) > 0), E
+        seen.append(len(E))
+        return counts(diag, E)
+
+    monkeypatch.setattr(qsturm.spectrum, "sturm_counts", counting)
+    got = tridiagonal_eigenvalues(np.array(v))
+    assert sum(seen) == energies
+    assert np.all(np.diff(got) >= 0)
 
 
 def test_bracket_step_on_a_non_monotone_count_sequence():

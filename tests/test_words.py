@@ -131,8 +131,8 @@ def test_prefix_budget_fails_before_allocating(fib_cf, fib_spec):
 @pytest.mark.parametrize("model", BENCH)
 def test_prefix_at_huge_shift_takes_memory_of_its_length(bench_specs, model):
     # The budget bounds the window's length only: 10^4 symbols from shift
-    # 10^15 are joined from level factors no longer than the window (about
-    # 10-19 bytes per symbol), where building u up to the window's end
+    # 10^15 are written from level factors no longer than the window (about
+    # 6-15 bytes per symbol), where building u up to the window's end
     # would take petabytes.
     spec = bench_specs[model]
     tracemalloc.start()
@@ -143,6 +143,23 @@ def test_prefix_at_huge_shift_takes_memory_of_its_length(bench_specs, model):
         tracemalloc.stop()
     assert len(word) == 10**4
     assert peak < 40 * 10**4, peak
+
+
+@pytest.mark.parametrize("length", [10**5, 10**6])
+@pytest.mark.parametrize("model", BENCH)
+def test_qs_prefix_bytes_per_symbol(bench_specs, model, length):
+    # Each factor is written into the one int32 output (4 bytes per symbol),
+    # a tiled level word as rows of a view: 10.5-13.0 bytes per symbol with
+    # the level words, where one joined tiled copy per factor took 14.5-17.0.
+    spec = bench_specs[model]
+    tracemalloc.start()
+    try:
+        word = qs_prefix(spec, length)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(word) == length and word.codes.dtype == np.int32
+    assert peak <= 14 * length, peak / length
 
 
 def test_sturmian_levels_refuses_overflowing_level():
