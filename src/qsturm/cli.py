@@ -107,8 +107,8 @@ def _cmd_complexity(spec, args, out: Output):
 def _cmd_decompose(spec, args, out: Output):
     if args.refine < 1:  # rotation_number's check, before the decomposition is paid for
         raise ValueError(f"refine must be >= 1, got {args.refine}")
-    w = words.qs_prefix(spec, args.length, shift=args.shift)
-    d = decompose.cassaigne_decompose(w)
+    # The window, and the factor index memoised on it, go with the call.
+    d = decompose.cassaigne_decompose(words.qs_prefix(spec, args.length, shift=args.shift))
     theta = decompose.rotation_number(d, refine=args.refine)
     out.extra["decomposition"] = decompose.decomposition_to_json(d)
     out.header(["theta"])

@@ -220,7 +220,7 @@ def _return_structure(w: Word, n: int):
     codes = w.codes
     passages = len(occ) - 1
     chunks = [(a, min(a + _CHUNK, passages)) for a in range(0, passages, _CHUNK)]
-    ext = np.empty(passages, dtype=np.int32)
+    ext = np.empty(passages, dtype=codes.dtype)
     for a, b in chunks:
         ext[a:b] = codes[occ[a:b] + n]
     ok = ext != ext[-1]  # the other extension, until the chunks overwrite it

@@ -1,8 +1,8 @@
 """Sturmian and quasi-Sturmian words: level words, substitutions, the factor
 index and complexity, palindromes, reflection, square search.
 
-Words are stored as integer-coded numpy arrays together with a label table,
-so quasi-Sturmian alphabets of any size work; labels are opaque strings.
+Words are one uint8 code per symbol with a label table, so alphabets of up
+to 255 symbols work; labels are opaque strings.
 """
 
 from __future__ import annotations
@@ -36,18 +36,22 @@ DEFAULT_LENGTH_BUDGET = 50_000_000
 
 
 class Word:
-    """Immutable finite word over a labelled alphabet."""
+    """Immutable finite word over a labelled alphabet, one byte per symbol."""
 
     __slots__ = ("codes", "alphabet", "_index")
 
     def __init__(self, codes, alphabet: Sequence[str]):
-        arr = np.asarray(codes, dtype=np.int32)
-        arr.setflags(write=False)
-        self.codes = arr
         self.alphabet = tuple(alphabet)
-        self._index: Optional["FactorIndex"] = None  # memo of factor_index
         if len(self.alphabet) > 255:
             raise ValueError("alphabets larger than 255 symbols are not supported")
+        if not (isinstance(codes, np.ndarray) and codes.dtype == np.uint8):  # uint8: from a word
+            codes = np.asarray(codes)
+            if codes.size and not 0 <= codes.min() <= codes.max() < len(self.alphabet):
+                raise ValueError(f"codes must lie in [0, {len(self.alphabet)}) for alphabet {self.alphabet}")
+            codes = codes.astype(np.uint8)
+        codes.setflags(write=False)
+        self.codes = codes
+        self._index: Optional["FactorIndex"] = None  # memo of factor_index
 
     @classmethod
     def from_labels(cls, labels: Sequence[str], alphabet: Optional[Sequence[str]] = None) -> "Word":
@@ -55,7 +59,7 @@ class Word:
             alphabet = sorted(set(labels))
         idx = {s: i for i, s in enumerate(alphabet)}
         try:
-            codes = [idx[s] for s in labels]
+            codes = np.array([idx[s] for s in labels], dtype=np.uint8)
         except KeyError as e:
             raise SymbolOutsideDomain(f"symbol {e.args[0]!r} not in alphabet {alphabet}") from None
         return cls(codes, alphabet)
@@ -96,7 +100,7 @@ class Word:
         )
 
     def __mul__(self, k: int) -> "Word":
-        return Word(np.tile(self.codes, k) if k > 0 else np.empty(0, dtype=np.int32), self.alphabet)
+        return Word(np.tile(self.codes, k) if k > 0 else np.empty(0, dtype=np.uint8), self.alphabet)
 
     def __repr__(self) -> str:
         body = self.to_str() if all(len(s) == 1 for s in self.alphabet) and len(self) <= 40 else f"<{len(self)} symbols>"
@@ -109,16 +113,21 @@ class Word:
             return self
         idx = {s: i for i, s in enumerate(alphabet)}
         try:
-            table = np.array([idx[s] for s in self.alphabet], dtype=np.int32)
+            table = np.array([idx[s] for s in self.alphabet], dtype=np.uint8)
         except KeyError as e:
             raise SymbolOutsideDomain(f"symbol {e.args[0]!r} not in alphabet {alphabet}") from None
         return Word(table[self.codes] if len(self.codes) else self.codes, alphabet)
 
     def to_str(self) -> str:
-        return "".join(np.array(self.alphabet, dtype=object)[self.codes].tolist())
+        # One gather from the labels' UTF-8 bytes, padded with 0xFF, which no
+        # UTF-8 text holds and the decoder drops.
+        raw = [s.encode() for s in self.alphabet]
+        width = max(map(len, raw), default=0)
+        table = np.frombuffer(b"".join(b.ljust(width, b"\xff") for b in raw), dtype=np.uint8)
+        return str(table.reshape(len(raw), width)[self.codes], "utf-8", "ignore")
 
     def to_bytes(self) -> bytes:
-        return self.codes.astype(np.uint8).tobytes()
+        return self.codes.tobytes()
 
     def count(self, label: str) -> int:
         if label not in self.alphabet:
@@ -194,9 +203,9 @@ def substitute(s: Substitution, w: Word) -> Word:
         if len(bad):
             raise SymbolOutsideDomain(f"symbol {w[int(bad[0])]!r} outside substitution domain")
     if len(w) == 0:
-        return Word(np.empty(0, dtype=np.int32), alphabet)
+        return Word(np.empty(0, dtype=np.uint8), alphabet)
     images = [s.images[letter].recode(alphabet).codes if letter in s.images
-              else np.empty(0, dtype=np.int32) for letter in w.alphabet]
+              else np.empty(0, dtype=np.uint8) for letter in w.alphabet]
     lengths = np.array([len(img) for img in images], dtype=np.int32)
     starts = np.cumsum(lengths, dtype=np.int32) - lengths  # of each image in the concatenation
     piece = np.cumsum(lengths[w.codes], dtype=np.int32)  # end of each symbol's piece in S(w)
@@ -458,7 +467,7 @@ def qs_prefix(spec: ModelSpec, length: int, shift: int = 0) -> Word:
     factors = _window_factors(spec, length, shift)
     n_levels = max((f[0] + 2 for f in factors if isinstance(f, tuple)), default=1)
     levels = list(itertools.islice(_sturmian_words(spec.cf, *_images(spec)), n_levels))
-    out, end = np.empty(length, dtype=np.int32), 0
+    out, end = np.empty(length, dtype=np.uint8), 0
     for f in factors:
         codes, m = (levels[f[0] + 1].codes, f[1]) if isinstance(f, tuple) else (f, 1)
         start, end = end, end + m * len(codes)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -387,6 +388,25 @@ def test_word_building_commands_keep_the_length_budget(fib_path, argv, capsys):
         assert err == "error: InconclusiveWindow: word of length 2 too short to classify\n"
 
 
+@pytest.mark.parametrize("command,bound", [("generate", 4), ("decompose", 25)])
+@pytest.mark.parametrize("model", ["fibonacci", "q5", "digits", "prefixed"])
+def test_word_commands_bytes_per_symbol(command, bound, model, tmp_path):
+    # Words take one byte per symbol and to_str gathers bytes: generate peaks
+    # at 3.0-3.2 bytes per symbol (20.0 with int32 codes joined through an
+    # object array), decompose at its factor-index build, 24.0 (27-32 with
+    # int32 codes). A first call at 10^3 loads what the command reads.
+    path, out, n = str(BENCH_MODELS / f"{model}.json"), str(tmp_path / "out.csv"), 10**6
+    assert main([command, path, "--length", "1000", "--out", out]) in (0, 1)
+    tracemalloc.start()
+    try:
+        code = main([command, path, "--length", str(n), "--out", out])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= bound * n, peak / n
+
+
 def test_gordon_rows(fib_path, capsys):
     code, out, _ = run(
         ["gordon", fib_path, "--energy", "0.1", "--nmax", "4"], capsys)
@@ -469,6 +489,19 @@ def test_malformed_model_errors(tmp_path, capsys, body):
     code, out, err = run(["bands", str(p), "--level", "3"], capsys)
     assert code == 1 and out == ""
     assert err.startswith("error: ValueError: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["generate"], ["bands", "--level", "3"]])
+def test_unencodable_label_is_one_line(tmp_path, command, capsys):
+    # Words are written as UTF-8 text. A lone surrogate, which JSON can
+    # spell but UTF-8 cannot encode, fails every command at the header's
+    # fingerprint.
+    p = tmp_path / "surrogate.json"
+    p.write_text('{%s, "substitution": {"a": "\\ud800", "b": "b"}, '
+                 '"potential": {"\\ud800": 1.0, "b": 0.0}}' % _CF)
+    code, out, err = run([command[0], str(p), *command[1:]], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: UnicodeEncodeError: ") and err.count("\n") == 1
 
 
 def test_memory_error_is_one_line(fib_path, capsys, monkeypatch):

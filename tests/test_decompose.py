@@ -224,10 +224,10 @@ def test_return_structure_matches_passage_loop_over_chunks(model, chunk, monkeyp
 
 
 def test_return_structure_bytes_per_symbol():
-    # At n = 0 every symbol is a passage. The check holds int32 occurrences
-    # and extensions and one flag per passage over the window, and the rest
-    # one chunk of passages at a time: about 13.5 bytes per symbol (35 with
-    # window-long lengths, offsets and gather index).
+    # At n = 0 every symbol is a passage. The check holds int32 occurrences,
+    # uint8 extensions and one flag per passage over the window, and the rest
+    # one chunk of passages at a time: about 10.5 bytes per symbol (13.5 with
+    # int32 extensions, 35 with window-long lengths, offsets and gather index).
     w = _model_word("fibonacci", 10**5)
     tracemalloc.start()
     try:

@@ -64,6 +64,27 @@ def test_word_roundtrip_and_ops():
     assert reflect(Word.from_str("aab")).to_str() == "baa"
 
 
+@pytest.mark.parametrize("codes", [[-1, 0], [0, 2], np.array([0, 256], dtype=np.int32)],
+                         ids=["negative", "past-alphabet", "wraps-uint8"])
+def test_word_refuses_codes_outside_alphabet(codes):
+    # -1 would print as the last label while count() misses it, and 256
+    # would wrap to 0 in the uint8 codes.
+    with pytest.raises(ValueError, match=r"^codes must lie in \[0, 2\) for alphabet \('a', 'b'\)$"):
+        Word(codes, ("a", "b"))
+
+
+def test_word_codes_are_one_byte_per_symbol():
+    # Every constructor and operation gives uint8 codes, and a slice shares
+    # its parent's buffer.
+    w = Word([0, 1, 1, 0], ("a", "b"))
+    words = [w, w[1:3], w + w, w * 2, w * 0, w.reverse(), w.recode(("b", "a")),
+             Word.from_str("abba", ("a", "b")), Word.from_str(""), Word([], ("a",)),
+             substitute(Substitution.from_strings({"a": "ab", "b": "a"}), w)]
+    assert all(v.codes.dtype == np.uint8 for v in words)
+    assert np.shares_memory(w[1:3].codes, w.codes)
+    assert w.to_bytes() == bytes([0, 1, 1, 0])
+
+
 def test_word_unknown_symbol():
     with pytest.raises(SymbolOutsideDomain):
         Word.from_str("abc", ("a", "b"))
@@ -148,9 +169,10 @@ def test_prefix_at_huge_shift_takes_memory_of_its_length(bench_specs, model):
 @pytest.mark.parametrize("length", [10**5, 10**6])
 @pytest.mark.parametrize("model", BENCH)
 def test_qs_prefix_bytes_per_symbol(bench_specs, model, length):
-    # Each factor is written into the one int32 output (4 bytes per symbol),
-    # a tiled level word as rows of a view: 10.5-13.0 bytes per symbol with
-    # the level words, where one joined tiled copy per factor took 14.5-17.0.
+    # Each factor is written into the one uint8 output (1 byte per symbol),
+    # a tiled level word as rows of a view: 2.6-3.3 bytes per symbol with
+    # the level words (10.5-13.0 with int32 codes, 14.5-17.0 with one joined
+    # tiled copy per factor).
     spec = bench_specs[model]
     tracemalloc.start()
     try:
@@ -158,8 +180,8 @@ def test_qs_prefix_bytes_per_symbol(bench_specs, model, length):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(word) == length and word.codes.dtype == np.int32
-    assert peak <= 14 * length, peak / length
+    assert len(word) == length and word.codes.dtype == np.uint8
+    assert peak <= 4 * length, peak / length
 
 
 def test_sturmian_levels_refuses_overflowing_level():
